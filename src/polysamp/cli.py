@@ -35,6 +35,7 @@ from .pipeline import AUX_STREAM, rng_stream, run_sampling
 
 DESK_CMIX = 1e-4
 ANALYSIS_CMIX = 1.0
+ROW_BLOCK = 4096  # CSV rows per write: bounds the formatting buffer
 
 
 def _hash(text: str) -> str:
@@ -76,6 +77,27 @@ def _open_out(args):
     if args.out is None:
         return sys.stdout, False
     return open(args.out, "w", newline="\n"), True
+
+
+def _cells(col: np.ndarray):
+    """One column slice as CSV cells: repr for floats, 0/1 for bools, str else."""
+    if col.dtype == bool:
+        col = col.view(np.uint8)
+    values = col.tolist()
+    return map(repr, values) if col.dtype.kind == "f" else map(str, values)
+
+
+def _write_rows(out, *columns) -> None:
+    """Write equal-length 1-D columns as CSV rows, one ``out.write`` per block.
+
+    Each block of ROW_BLOCK rows is formatted column by column, so memory
+    stays flat in the row count. repr of a float is the shortest string that
+    round-trips, which keeps reruns byte-identical.
+    """
+    n = len(columns[0])
+    for start in range(0, n, ROW_BLOCK):
+        cells = [_cells(col[start : start + ROW_BLOCK]) for col in columns]
+        out.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _load_inputs(args):
@@ -125,10 +147,6 @@ def cmd_params(args) -> int:
     return 0
 
 
-def _csv_float(x: float) -> str:
-    return repr(float(x))
-
-
 def cmd_sample(args) -> int:
     P, f = _load_inputs(args)
     c_mix = _resolve_cmix(args, DESK_CMIX)
@@ -150,11 +168,14 @@ def cmd_sample(args) -> int:
         out.write(f"# params_hash={_params_hash(result.params, result.T)}\n")
         coords = ",".join(f"x{j + 1}" for j in range(P.d))
         out.write(f"index,{coords},tau,fallback,oracle_calls\n")
-        for i in range(len(result)):
-            xs = ",".join(_csv_float(v) for v in result.points[i])
-            out.write(
-                f"{i},{xs},{result.tau[i]},{int(result.fallback[i])},{result.oracle_calls[i]}\n"
-            )
+        _write_rows(
+            out,
+            np.arange(len(result)),
+            *result.points.T,
+            result.tau,
+            result.fallback,
+            result.oracle_calls,
+        )
     finally:
         if close:
             out.close()
@@ -219,21 +240,23 @@ def cmd_diagnose(args) -> int:
             out.write(f"# tau_tail_geq_{t}={float(stats.tail_geq[t])!r}\n")
         mids = ",".join(f"mid{j + 1}" for j in range(P.d))
         out.write(f"cell,{mids},mass,count,freq,log_ratio,sigma,included\n")
-        centers = grid.cell_centers()
-        n = len(result)
         incl = np.zeros(grid.n_cells, dtype=bool)
         incl[report.cells] = True
         lr = np.full(grid.n_cells, np.nan)
         sg = np.full(grid.n_cells, np.nan)
         lr[report.cells] = report.log_ratio
         sg[report.cells] = report.sigma
-        for c in range(grid.n_cells):
-            ms = ",".join(_csv_float(v) for v in centers[c])
-            out.write(
-                f"{c},{ms},{_csv_float(grid.masses[c])},{counts[c]},"
-                f"{_csv_float(counts[c] / n)},{_csv_float(lr[c])},{_csv_float(sg[c])},"
-                f"{int(incl[c])}\n"
-            )
+        _write_rows(
+            out,
+            np.arange(grid.n_cells),
+            *grid.cell_centers().T,
+            grid.masses,
+            counts,
+            counts / len(result),
+            lr,
+            sg,
+            incl,
+        )
     finally:
         if close:
             out.close()
@@ -260,12 +283,15 @@ def cmd_erm(args) -> int:
         out.write(f"# mean_gap={float(gaps.mean())!r}\n")
         coords = ",".join(f"theta{j + 1}" for j in range(inst.d))
         out.write(f"index,{coords},tau,fallback,oracle_calls,gap\n")
-        for i in range(len(batch)):
-            xs = ",".join(_csv_float(v) for v in batch.thetas[i])
-            out.write(
-                f"{i},{xs},{batch.tau[i]},{batch.fallback[i]},"
-                f"{batch.oracle_calls[i]},{_csv_float(gaps[i])}\n"
-            )
+        _write_rows(
+            out,
+            np.arange(len(batch)),
+            *batch.thetas.T,
+            batch.tau,
+            batch.fallback,
+            batch.oracle_calls,
+            gaps,
+        )
     finally:
         if close:
             out.close()

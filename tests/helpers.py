@@ -302,3 +302,41 @@ def reference_run_chains_batch(
         rep = ops.where(accept, rep_y, rep)
 
     return X, accepts
+
+
+# ---------------------------------------------------------------------------
+# Reference CSV row writers
+# ---------------------------------------------------------------------------
+#
+# The per-row loops that ``cli._write_rows`` replaced in the sample, diagnose
+# and erm commands, kept verbatim: the blocked writer must produce the same
+# string for the same arrays.
+
+
+def _csv_float(x: float) -> str:
+    return repr(float(x))
+
+
+def reference_sample_rows(out, points, tau, fallback, oracle_calls) -> None:
+    for i in range(len(points)):
+        xs = ",".join(_csv_float(v) for v in points[i])
+        out.write(f"{i},{xs},{tau[i]},{int(fallback[i])},{oracle_calls[i]}\n")
+
+
+def reference_diagnose_rows(out, centers, masses, counts, n, lr, sg, incl) -> None:
+    for c in range(len(masses)):
+        ms = ",".join(_csv_float(v) for v in centers[c])
+        out.write(
+            f"{c},{ms},{_csv_float(masses[c])},{counts[c]},"
+            f"{_csv_float(counts[c] / n)},{_csv_float(lr[c])},{_csv_float(sg[c])},"
+            f"{int(incl[c])}\n"
+        )
+
+
+def reference_erm_rows(out, thetas, tau, fallback, oracle_calls, gaps) -> None:
+    for i in range(len(thetas)):
+        xs = ",".join(_csv_float(v) for v in thetas[i])
+        out.write(
+            f"{i},{xs},{tau[i]},{fallback[i]},"
+            f"{oracle_calls[i]},{_csv_float(gaps[i])}\n"
+        )

@@ -1,11 +1,14 @@
 """CLI behavior: output formats, exit codes, and the determinism contract."""
 
+import io
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import helpers
 from polysamp import cli
 from polysamp.geometry import contains_many, load_polytope
 
@@ -196,6 +199,59 @@ def test_sample_dikin_smoke(seg_file, capsys):
     assert all(-1.0 <= float(r[1]) <= 1.0 for r in rows)
 
 
+def test_sample_stdout_matches_out_file(square_file, tmp_path, capsys):
+    argv = [
+        "sample",
+        "--polytope",
+        str(square_file),
+        "--eps",
+        "0.5",
+        "--oracle",
+        "exact",
+        "--n",
+        str(2 * cli.ROW_BLOCK + 1),
+        "--seed",
+        "2",
+    ]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    path = tmp_path / "s.csv"
+    code, _, _ = run_cli([*argv, "--out", str(path)], capsys)
+    assert code == 0
+    assert out.encode() == path.read_bytes()
+
+
+def test_sample_readme_example(square_file, capsys):
+    code, out, _ = run_cli(
+        [
+            "sample",
+            "--polytope",
+            str(square_file),
+            "--density",
+            "linear:1,0",
+            "--eps",
+            "0.5",
+            "--seed",
+            "7",
+            "--n",
+            "3",
+            "--oracle",
+            "exact",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert out == (
+        "# config_hash=1f908a383326cefd\n"
+        "# version=0.1.0\n"
+        "# params_hash=cd2de4a3ac947ff0\n"
+        "index,x1,x2,tau,fallback,oracle_calls\n"
+        "0,0.3338458217190157,0.4461438518232382,4,0,4\n"
+        "1,-0.8343251787653305,0.39326840796749973,1,0,1\n"
+        "2,-0.8791515362630534,0.6107155569353856,2,0,2\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -314,6 +370,40 @@ def test_diagnose_report_fields(seg_file, capsys):
     assert sum(int(r[3]) for r in rows) == 20000
 
 
+def test_diagnose_readme_example(square_file, capsys):
+    code, out, _ = run_cli(
+        [
+            "diagnose",
+            "--polytope",
+            str(square_file),
+            "--density",
+            "uniform",
+            "--eps",
+            "0.5",
+            "--seed",
+            "3",
+            "--n",
+            "20000",
+            "--oracle",
+            "exact",
+            "--bins",
+            "4",
+        ],
+        capsys,
+    )
+    assert code == 0
+    lines = out.splitlines()
+    for line in (
+        "# tv_estimate=0.00970000000000001",
+        "# sup_log_ratio=0.04416089578576978",
+        "# sup_max_z=1.6125279187667292",
+        "# tau_mean=1.99705",
+        "# fallback_rate=0.0045",
+        "0,-0.75,-0.75,0.0625,1243,0.06215,-0.005615738785635745,0.027386127875258306,1",
+    ):
+        assert line in lines
+
+
 def test_diagnose_dimension_guard(tmp_path, capsys):
     p = tmp_path / "cube4.txt"
     rows = []
@@ -361,6 +451,24 @@ def test_erm_output_and_determinism(erm_file, capsys):
     assert first == second
 
 
+def test_erm_readme_example(erm_file, capsys):
+    # config_hash is left out: the README's instance file carries comment
+    # lines, so its digest differs from this fixture's
+    code, out, _ = run_cli(["erm", "--polytope", str(erm_file), "--seed", "11", "--n", "3"], capsys)
+    assert code == 0
+    comments, _, _ = parse_csv(out)
+    assert comments["params_hash"] == "1c76714e8ed4d2cf"
+    assert comments["t_halt"] == "11"
+    assert comments["eta"] == "1.6"
+    assert comments["mean_gap"] == "6.887419554753627"
+    assert out.endswith(
+        "index,theta1,tau,fallback,oracle_calls,gap\n"
+        "0,0.8210164922096442,2,none,2,9.105082461048221\n"
+        "1,0.2487737787145754,3,ball,2,6.243868893572877\n"
+        "2,0.06266146192795696,3,ball,2,5.313307309639785\n"
+    )
+
+
 def test_erm_requires_instance_file(capsys):
     code, _, err = run_cli(["erm", "--n", "5"], capsys)
     assert code == 2
@@ -376,6 +484,91 @@ def test_erm_density_spec_standalone(erm_file, capsys):
     kv = parse_kv(out)
     assert kv["d"] == "1"
     assert kv["L"] == "5.0"
+
+
+# ---------------------------------------------------------------------------
+# CSV writer
+# ---------------------------------------------------------------------------
+
+ROW_COUNTS = (1, cli.ROW_BLOCK - 1, cli.ROW_BLOCK, cli.ROW_BLOCK + 1, 2 * cli.ROW_BLOCK + 1)
+# repr switches to scientific notation below 1e-4 and from 1e16 up; 5e-324
+# is the smallest subnormal
+SPECIAL_FLOATS = np.array([1e-05, 1e16, 5e-324, -0.0, 1e-4, 9999999999999998.0, -2.5e-300])
+
+
+def _floats(rng, n: int, d: int) -> np.ndarray:
+    """Random floats over many magnitudes, with SPECIAL_FLOATS spread in."""
+    X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 20, size=(n, d))
+    flat = X.reshape(-1)
+    flat[::3] = np.resize(SPECIAL_FLOATS, len(flat[::3]))
+    return X
+
+
+def _with_nonfinite(x: np.ndarray) -> np.ndarray:
+    x[::4] = np.nan
+    x[1::8] = np.inf
+    x[3::8] = -np.inf
+    return x
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_write_rows_matches_reference_loops(d, n):
+    rng = np.random.default_rng(100 * d + n)
+    X = _floats(rng, n, d)
+    tau = rng.integers(1, 20, n)
+    calls = rng.integers(0, 20, n)
+    fallback = rng.random(n) < 0.3
+    labels = np.array(["none", "ball", "center"], dtype="<U6")[rng.integers(0, 3, n)]
+    counts = rng.integers(0, 5000, n)
+    total = int(counts.sum()) + 1
+    masses = _floats(rng, n, 1)[:, 0]
+    lr = _with_nonfinite(rng.standard_normal(n))
+    sg = _with_nonfinite(np.abs(rng.standard_normal(n)))
+    gaps = _floats(rng, n, 1)[:, 0]
+    index = np.arange(n)
+
+    cases = [
+        (
+            helpers.reference_sample_rows,
+            (X, tau, fallback, calls),
+            (index, *X.T, tau, fallback, calls),
+        ),
+        (
+            helpers.reference_diagnose_rows,
+            (X, masses, counts, total, lr, sg, fallback),
+            (index, *X.T, masses, counts, counts / total, lr, sg, fallback),
+        ),
+        (
+            helpers.reference_erm_rows,
+            (X, tau, labels, calls, gaps),
+            (index, *X.T, tau, labels, calls, gaps),
+        ),
+    ]
+    texts = []
+    for reference, ref_args, columns in cases:
+        want, got = io.StringIO(), io.StringIO()
+        reference(want, *ref_args)
+        cli._write_rows(got, *columns)
+        assert got.getvalue() == want.getvalue(), reference.__name__
+        texts.append(want.getvalue())
+
+    if n >= cli.ROW_BLOCK:
+        # every special form did occur in the compared text
+        text = "".join(texts)
+        for token in ("e-05", "e+16", "5e-324", "-0.0", ",nan,", ",inf,", ",-inf,", "center"):
+            assert token in text, token
+
+
+def test_write_rows_one_bounded_write_per_block():
+    n = 2 * cli.ROW_BLOCK + 1
+    writes = []
+    cli._write_rows(SimpleNamespace(write=writes.append), np.arange(n), np.linspace(-1.0, 1.0, n))
+    assert len(writes) == 3
+    for block in writes:
+        assert block.endswith("\n")
+        assert block.count("\n") <= cli.ROW_BLOCK
+    assert "".join(writes).count("\n") == n
 
 
 def test_module_entry_point(seg_file):
