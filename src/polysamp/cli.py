@@ -31,7 +31,7 @@ from . import __version__, converter, dikin, dp, oracle
 from .density import parse_density
 from .errors import ConfigError, ContractViolation
 from .geometry import load_polytope
-from .pipeline import AUX_STREAM, rng_stream, run_sampling
+from .pipeline import rng_stream, run_sampling
 
 DESK_CMIX = 1e-4
 ANALYSIS_CMIX = 1.0
@@ -182,15 +182,6 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _measured_acceptance(result) -> float:
-    """Acceptance rate of the production walk config on a short pilot."""
-    rng = rng_stream(result.seed, AUX_STREAM + 1)
-    cfg = dikin.WalkConfig(eta=result.eta, T=min(result.T, 500))
-    X0 = dikin.warm_start_many(result.polytope, rng, 64)
-    _, accepts = dikin.run_chains_batch(result.polytope, result.density, cfg, X0, rng)
-    return accepts / (X0.shape[0] * cfg.T)
-
-
 def cmd_diagnose(args) -> int:
     P, f = _load_inputs(args)
     if P.d > 3:
@@ -215,10 +206,8 @@ def cmd_diagnose(args) -> int:
     tv = oracle.tv_estimate(normalized, grid)
     stats = converter.tau_statistics(result.batch(), eps=args.eps)
 
-    if result.oracle_kind == "dikin":
-        acceptance = _measured_acceptance(result)
-    else:
-        acceptance = float("nan")
+    # acceptance of the walk that made the draws (nan when no walk ran)
+    acceptance = result.accepts / result.chain_steps if result.chain_steps else float("nan")
 
     out, close = _open_out(args)
     try:

@@ -191,8 +191,11 @@ def convert_batch(
     """Vectorized ``convert``: n independent conversions sharing one RNG.
 
     oracle_batch(k, rng) must return a (k, d) array of independent draws
-    from mu. Each loop iteration requests fresh draws only for the runs
-    still alive, so the expected oracle load is about 2n draws.
+    from mu. Each loop iteration requests draws only for the runs still
+    alive, so the expected oracle load is about 2n draws. The draws need not
+    be made on demand: the oracle may serve draws it made in advance (as
+    ``dikin.WalkPool`` does, on its own generator), provided each is an
+    independent draw from mu that no other request receives.
     """
     d = P.d
     dr = params.delta * P.r

@@ -31,6 +31,10 @@ the calling thread, and the block's scratch stays in cache. The random draws
 and the f evaluations still cover the whole batch, so the result is
 bit-identical to the unblocked step. Higher d runs the unblocked step with
 np.linalg's batched factorizations.
+
+``WalkPool`` is how the samplers consume the walk: it runs the batch path in
+blocks of fresh warm-started chains on its own generator and serves the
+converter's per-round requests from the endpoints it holds.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ __all__ = [
     "warm_start_many",
     "mixing_steps",
     "tune_eta",
+    "WalkPool",
 ]
 
 
@@ -610,3 +615,38 @@ def tune_eta(
         f"step-scale tuning did not reach acceptance in [{lo}, {hi}] "
         f"within {max_rounds} pilot rounds (last eta={eta:g})"
     )
+
+
+# ---------------------------------------------------------------------------
+# Draw pool
+# ---------------------------------------------------------------------------
+
+
+class WalkPool:
+    """Walk endpoints made in blocks ahead of demand, served in order.
+
+    ``pool(k, rng)`` is an oracle for ``converter.convert_batch``. Each
+    endpoint is a fresh chain from a warm start, so draws made early are as
+    i.i.d. as draws made on demand; the pool walks on its own generator and
+    ignores rng. Short of k endpoints, it walks ``2k - held`` new chains in
+    one lockstep call (2k: the expected remaining demand of k runs under the
+    half-coin) and keeps the rest for later requests. chain_steps and
+    accepts count the work of every walk it ran.
+    """
+
+    def __init__(self, P: Polytope, f: LogDensity, cfg: WalkConfig, rng: np.random.Generator):
+        self.P, self.f, self.cfg, self.rng = P, f, cfg, rng
+        self.held = np.empty((0, P.d))
+        self.chain_steps = 0
+        self.accepts = 0
+
+    def __call__(self, k: int, rng: np.random.Generator | None) -> np.ndarray:
+        if self.held.shape[0] < k:
+            fresh = 2 * k - self.held.shape[0]
+            X0 = warm_start_many(self.P, self.rng, fresh)
+            X, accepts = run_chains_batch(self.P, self.f, self.cfg, X0, self.rng)
+            self.held = np.concatenate([self.held, X])
+            self.chain_steps += fresh * self.cfg.T
+            self.accepts += accepts
+        out, self.held = self.held[:k], self.held[k:]
+        return out

@@ -247,14 +247,12 @@ def private_erm_batch(
     t_halt = halting_threshold(inst)
     capped = t_halt < params.tau_max
     run_params = replace(params, tau_max=t_halt) if capped else params
-    cfg = dikin.WalkConfig(eta=eta, T=T)
-
-    def oracle_batch(k: int, rng: np.random.Generator) -> np.ndarray:
-        X0 = dikin.warm_start_many(Pn, rng, k)
-        X, _ = dikin.run_chains_batch(Pn, g, cfg, X0, rng)
-        return X
-
-    batch = converter.convert_batch(Pn, oracle_batch, run_params, rng, n_runs)
+    # the walk draws on its own Philox stream, keyed by two draws taken from
+    # rng: apart from the converter's draws and from any later call's walk
+    key = rng.integers(2**64, size=2, dtype=np.uint64)
+    pool = dikin.WalkPool(Pn, g, dikin.WalkConfig(eta=eta, T=T),
+                          np.random.Generator(np.random.Philox(key=key)))
+    batch = converter.convert_batch(Pn, pool, run_params, rng, n_runs)
 
     points = batch.points.copy()
     kinds = np.full(n_runs, FALLBACK_NONE, dtype="<U6")

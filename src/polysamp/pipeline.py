@@ -1,11 +1,12 @@
 """End-to-end sampling runs: normalize, size the walk, convert, translate back.
 
 Determinism contract: every run is a pure function of (seed, run index).
-Runs are processed in fixed-size chunks; chunk j draws from the Philox
-stream keyed (seed, j), and auxiliary consumers (the step-size tuner, the
-exact sampler's pilot) use a reserved stream id far above any chunk index.
-Output is therefore byte-identical for any worker count, and a worker pool
-only changes wall-clock time.
+Runs are processed in fixed-size chunks; chunk j's converter draws from the
+Philox stream keyed (seed, j), and with the walk oracle chunk j's walk draws
+come from its own draw pool on stream (seed, POOL_STREAM + j). Auxiliary
+consumers (the step-size tuner, the exact sampler's pilot) use a reserved
+stream id far above any chunk index. Output is therefore byte-identical for
+any worker count, and a worker pool only changes wall-clock time.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from .errors import ConfigError
 from .geometry import Polytope, normalize
 from .oracle import ExactSampler
 
-__all__ = ["CHUNK", "rng_stream", "SamplingResult", "run_sampling"]
+__all__ = ["CHUNK", "POOL_STREAM", "rng_stream", "SamplingResult", "run_sampling"]
 
 CHUNK = 8192
 AUX_STREAM = 1 << 62  # tuner/pilot stream; chunk indices stay far below this
+POOL_STREAM = 1 << 61  # chunk j's walk draws use POOL_STREAM + j
 MAX_SEED = 2**63
 
 
@@ -38,7 +40,8 @@ class SamplingResult:
     """What a sampling run produced, plus everything needed to audit it.
 
     points are in the caller's original coordinates; tau, fallback and
-    oracle_calls align with them row by row.
+    oracle_calls align with them row by row. chain_steps and accepts sum
+    the walk work of every chunk (both 0 for the exact oracle).
     """
 
     points: np.ndarray
@@ -55,6 +58,8 @@ class SamplingResult:
     T: int | None = None
     eta: float | None = None
     tune_acceptance: float | None = None
+    chain_steps: int = 0
+    accepts: int = 0
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -110,16 +115,14 @@ def run_sampling(
             eta_used = float(eta)
         cfg = dikin.WalkConfig(eta=eta_used, T=T)
 
-        def oracle_batch(k, rng):
-            X0 = dikin.warm_start_many(Pn, rng, k)
-            X, _ = dikin.run_chains_batch(Pn, fn, cfg, X0, rng)
-            return X
+        def chunk_oracle(j):
+            return dikin.WalkPool(Pn, fn, cfg, rng_stream(seed, POOL_STREAM + j))
 
     elif oracle == "exact":
         sampler = ExactSampler(Pn, fn, rng_stream(seed, AUX_STREAM))
 
-        def oracle_batch(k, rng):
-            return sampler.draw(rng, k)
+        def chunk_oracle(j):
+            return lambda k, rng: sampler.draw(rng, k)
 
     else:
         raise ConfigError(f"unknown oracle kind {oracle!r} (expected dikin or exact)")
@@ -129,23 +132,25 @@ def run_sampling(
     fallback = np.empty(n, dtype=bool)
     oracle_calls = np.empty(n, dtype=np.int64)
 
-    def do_chunk(j: int):
+    def do_chunk(j: int) -> tuple[int, int]:
         start = j * chunk
         k = min(chunk, n - start)
+        oracle_batch = chunk_oracle(j)
         batch = converter.convert_batch(Pn, oracle_batch, params, rng_stream(seed, j), k)
         sl = slice(start, start + k)
         points[sl] = batch.points
         tau[sl] = batch.tau
         fallback[sl] = batch.fallback
         oracle_calls[sl] = batch.oracle_calls
+        return getattr(oracle_batch, "chain_steps", 0), getattr(oracle_batch, "accepts", 0)
 
     n_chunks = (n + chunk - 1) // chunk
     if workers == 1 or n_chunks == 1:
-        for j in range(n_chunks):
-            do_chunk(j)
+        work = [do_chunk(j) for j in range(n_chunks)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(do_chunk, range(n_chunks)))
+            work = list(pool.map(do_chunk, range(n_chunks)))
+    chain_steps, accepts = (sum(w) for w in zip(*work))
 
     return SamplingResult(
         points=points + translation,
@@ -162,4 +167,6 @@ def run_sampling(
         T=T,
         eta=eta_used,
         tune_acceptance=acc,
+        chain_steps=chain_steps,
+        accepts=accepts,
     )

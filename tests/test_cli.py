@@ -1,6 +1,7 @@
 """CLI behavior: output formats, exit codes, and the determinism contract."""
 
 import io
+import math
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -11,6 +12,7 @@ import pytest
 import helpers
 from polysamp import cli
 from polysamp.geometry import contains_many, load_polytope
+from polysamp.pipeline import CHUNK
 
 
 def run_cli(argv, capsys) -> tuple[int, str, str]:
@@ -115,7 +117,8 @@ def test_sample_deterministic_rerun(seg_file, capsys):
     assert first == second
 
 
-def test_sample_worker_count_invariance(square_file, tmp_path, capsys):
+def _sample_worker_outputs(polytope, tmp_path, capsys, *oracle_args) -> list[bytes]:
+    """`sample` output bytes with --workers 1 and with --workers 3."""
     outs = []
     for workers in ("1", "3"):
         path = tmp_path / f"w{workers}.csv"
@@ -123,11 +126,10 @@ def test_sample_worker_count_invariance(square_file, tmp_path, capsys):
             [
                 "sample",
                 "--polytope",
-                str(square_file),
+                str(polytope),
                 "--eps",
                 "0.5",
-                "--oracle",
-                "exact",
+                *oracle_args,
                 "--n",
                 "9000",
                 "--seed",
@@ -141,7 +143,22 @@ def test_sample_worker_count_invariance(square_file, tmp_path, capsys):
         )
         assert code == 0
         outs.append(path.read_bytes())
+    return outs
+
+
+def test_sample_worker_count_invariance(square_file, tmp_path, capsys):
+    outs = _sample_worker_outputs(square_file, tmp_path, capsys, "--oracle", "exact")
     # chunked runs are seeded per chunk index: thread count cannot matter
+    assert outs[0] == outs[1]
+
+
+def test_sample_walk_worker_count_invariance(square_file, tmp_path, capsys):
+    # n = 9000 > CHUNK makes two chunks, each walking T=35 steps per draw on
+    # its own pool stream
+    assert 9000 > CHUNK
+    outs = _sample_worker_outputs(
+        square_file, tmp_path, capsys, "--oracle", "dikin", "--cmix", "0.01"
+    )
     assert outs[0] == outs[1]
 
 
@@ -370,6 +387,29 @@ def test_diagnose_report_fields(seg_file, capsys):
     assert sum(int(r[3]) for r in rows) == 20000
 
 
+def test_diagnose_acceptance_reads_walk_counters(seg_file, capsys, monkeypatch):
+    """`# acceptance=` is accepts / chain_steps of the walk that made the
+    draws, and nan with the exact oracle, where no walk runs."""
+    results, run_sampling = [], cli.run_sampling
+
+    def recording_run_sampling(*args, **kwargs):
+        results.append(run_sampling(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_sampling", recording_run_sampling)
+    acceptance = {}
+    for oracle in ("dikin", "exact"):
+        argv = ["diagnose", "--polytope", str(seg_file), "--density", "linear:1"]
+        argv += ["--eps", "0.5", "--oracle", oracle, "--cmix", "0.01", "--n", "2000"]
+        code, out, _ = run_cli(argv + ["--bins", "10"], capsys)
+        assert code == 0
+        acceptance[oracle] = float(parse_csv(out)[0]["acceptance"])
+    walk = results[0]
+    assert 0.0 < acceptance["dikin"] < 1.0
+    assert acceptance["dikin"] == walk.accepts / walk.chain_steps
+    assert math.isnan(acceptance["exact"])
+
+
 def test_diagnose_readme_example(square_file, capsys):
     code, out, _ = run_cli(
         [
@@ -460,12 +500,12 @@ def test_erm_readme_example(erm_file, capsys):
     assert comments["params_hash"] == "1c76714e8ed4d2cf"
     assert comments["t_halt"] == "11"
     assert comments["eta"] == "1.6"
-    assert comments["mean_gap"] == "6.887419554753627"
+    assert comments["mean_gap"] == "4.32350279681331"
     assert out.endswith(
         "index,theta1,tau,fallback,oracle_calls,gap\n"
-        "0,0.8210164922096442,2,none,2,9.105082461048221\n"
-        "1,0.2487737787145754,3,ball,2,6.243868893572877\n"
-        "2,0.06266146192795696,3,ball,2,5.313307309639785\n"
+        "0,-0.18886373306566764,2,none,2,4.055681334671662\n"
+        "1,-0.774174755588547,2,none,2,1.1291262220572653\n"
+        "2,0.5571401667422005,1,none,1,7.785700833711003\n"
     )
 
 

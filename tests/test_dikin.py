@@ -7,7 +7,7 @@ import helpers
 from polysamp import dikin
 from polysamp.density import linear, norm1, uniform
 from polysamp.geometry import Polytope, contains_many, margin, margin_many
-from polysamp.pipeline import rng_stream
+from polysamp.pipeline import POOL_STREAM, rng_stream, run_sampling
 
 
 def test_hessian_at_center_of_square(sq):
@@ -289,3 +289,67 @@ def test_walk_config_validation():
         dikin.WalkConfig(eta=0.0)
     with pytest.raises(ValueError):
         dikin.WalkConfig(eta=0.5, T=-1)
+
+
+# ---------------------------------------------------------------------------
+# Draw pool
+# ---------------------------------------------------------------------------
+
+
+def test_pool_serves_refill_walks_in_order(sq):
+    """Requests of 10, 4, 3, 8 and 30 draws get, in order, the rows of the
+    walks the pool ran on its own stream: 20 chains for the first request,
+    2*8 - 3 = 13 for the fourth and 2*30 - 8 = 52 for the fifth. The
+    caller's generator is left untouched."""
+    f, cfg = linear([0.5, -0.3]), dikin.WalkConfig(eta=0.8, T=20)
+    pool = dikin.WalkPool(sq, f, cfg, rng_stream(5, POOL_STREAM))
+    caller = np.random.default_rng(0)
+    state = caller.bit_generator.state
+    served = [pool(k, caller) for k in (10, 4, 3, 8, 30)]
+    assert caller.bit_generator.state == state
+
+    rng = rng_stream(5, POOL_STREAM)
+    walks, accepts = [], 0
+    for fresh in (20, 13, 52):
+        X, acc = dikin.run_chains_batch(sq, f, cfg, dikin.warm_start_many(sq, rng, fresh), rng)
+        walks.append(X)
+        accepts += acc
+    assert [s.shape for s in served] == [(10, 2), (4, 2), (3, 2), (8, 2), (30, 2)]
+    assert np.array_equal(np.concatenate(served), np.concatenate(walks)[:55])
+    assert pool.chain_steps == 85 * cfg.T
+    assert pool.accepts == accepts
+    assert pool.held.shape == (30, 2)
+
+
+def test_pool_refills_once_when_short(sq, monkeypatch):
+    """A request larger than what the pool holds runs exactly one walk, of
+    2k - held chains; a request the pool can cover runs none."""
+    walked = []
+    walk = dikin.run_chains_batch
+
+    def counting_walk(P, f, cfg, X0, rng):
+        walked.append(X0.shape[0])
+        return walk(P, f, cfg, X0, rng)
+
+    monkeypatch.setattr(dikin, "run_chains_batch", counting_walk)
+    pool = dikin.WalkPool(sq, uniform(), dikin.WalkConfig(eta=0.8, T=5), rng_stream(3, POOL_STREAM))
+    pool(6, None)  # empty: walks 12
+    pool(4, None)  # holds 6: no walk
+    assert walked == [12]
+    pool(7, None)  # holds 2: walks 2*7 - 2 = 12
+    assert walked == [12, 12]
+    assert pool.held.shape[0] == 7
+
+
+def test_pool_full_chunk_depends_on_seed_and_chunk_only(seg):
+    """With the pool, a full chunk's rows still depend only on (seed, chunk):
+    the first two chunks of 64 runs are the same whatever n is."""
+    runs = [
+        run_sampling(seg, linear([0.8]), eps=0.5, n=n, seed=9, c_mix=0.01, eta=1.0, chunk=64)
+        for n in (128, 197)
+    ]
+    for field in ("points", "tau", "fallback", "oracle_calls"):
+        a, b = (getattr(r, field) for r in runs)
+        assert np.array_equal(a, b[:128]), field
+    assert runs[0].T > 1
+    assert 0 < runs[0].accepts < runs[0].chain_steps

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from polysamp import oracle
+from polysamp import dikin, oracle
 from polysamp.dp import (
     FALLBACK_BALL,
     FALLBACK_CENTER,
@@ -184,6 +184,40 @@ def test_private_erm_batch_kinds_and_support(erm_file):
     assert np.all(batch.oracle_calls[fb] == batch.params.tau_max)
     live = ~fb
     assert np.all(batch.tau[live] == batch.oracle_calls[live])
+
+
+def test_private_erm_batch_walks_apart_across_calls(erm_file, monkeypatch):
+    """Back-to-back calls on one rng walk on unrelated streams: the second
+    call's pool opens with draws found nowhere in the first pool's stream."""
+    states = []
+
+    class RecordingPool(dikin.WalkPool):
+        def __init__(self, P, f, cfg, rng):
+            states.append(rng.bit_generator.state)
+            super().__init__(P, f, cfg, rng)
+
+    monkeypatch.setattr(dikin, "WalkPool", RecordingPool)
+    inst = load_erm_instance(erm_file)
+    rng = np.random.default_rng(19)
+    for _ in range(2):
+        private_erm_batch(inst, rng, 500, eta=1.5)
+
+    def raw(state, k):
+        bit_generator = getattr(np.random, state["bit_generator"])()
+        bit_generator.state = state
+        return bit_generator.random_raw(k)
+
+    # 2**20 raw draws cover the first call's whole walk (about 500 * 2
+    # chains * T=56 steps, a few draws each)
+    first, second = raw(states[0], 2**20), raw(states[1], 8)
+    assert not np.isin(second, first).any()
+
+
+def test_private_erm_batch_any_bit_generator(erm_file):
+    inst = load_erm_instance(erm_file)
+    rng = np.random.Generator(np.random.SFC64(20))
+    batch = private_erm_batch(inst, rng, 50, eta=1.5)
+    assert np.all(contains_many(inst.polytope, batch.thetas))
 
 
 def test_private_erm_capped_center_fallback():
