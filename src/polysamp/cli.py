@@ -20,8 +20,11 @@ determinism contract.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -31,7 +34,7 @@ from . import __version__, converter, dikin, dp, oracle
 from .density import parse_density
 from .errors import ConfigError, ContractViolation
 from .geometry import load_polytope
-from .pipeline import rng_stream, run_sampling
+from .pipeline import plan_sampling, rng_stream, run_sampling
 
 DESK_CMIX = 1e-4
 ANALYSIS_CMIX = 1.0
@@ -73,10 +76,42 @@ def _resolve_cmix(args, default: float) -> float:
     return ANALYSIS_CMIX if args.paper_constants else default
 
 
-def _open_out(args):
-    if args.out is None:
-        return sys.stdout, False
-    return open(args.out, "w", newline="\n"), True
+@contextlib.contextmanager
+def _open_out(path):
+    """The output stream: stdout when path is None, else a file.
+
+    A new file, or an existing regular file with one link, is written to a
+    temporary file beside it, which replaces path only when the command
+    succeeds: a failed run leaves no partial file and an existing one
+    untouched. The file gets the mode a plain open would give it. Any other
+    target (a symlink, FIFO or device such as /dev/stdout) is opened and
+    written directly.
+    """
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
+        with open(path, "w", newline="\n") as out:
+            yield out
+        return
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+    # mode 0o666 under the umask, as open() creates files (tempfile would
+    # use 0o600); an existing target's mode is copied instead
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", newline="\n") as out:
+            if st is not None:
+                os.fchmod(fd, stat.S_IMODE(st.st_mode))
+            yield out
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _cells(col: np.ndarray):
@@ -149,36 +184,36 @@ def cmd_params(args) -> int:
 
 def cmd_sample(args) -> int:
     P, f = _load_inputs(args)
-    c_mix = _resolve_cmix(args, DESK_CMIX)
-    result = run_sampling(
+    plan = plan_sampling(
         P,
         f,
         eps=args.eps,
         n=args.n,
         seed=args.seed,
-        c_mix=c_mix,
+        c_mix=_resolve_cmix(args, DESK_CMIX),
         eta=args.eta,
         oracle=args.oracle,
         workers=args.workers,
     )
-    out, close = _open_out(args)
-    try:
+    with _open_out(args.out) as out:
         out.write(f"# config_hash={_config_hash(args)}\n")
         out.write(f"# version={__version__}\n")
-        out.write(f"# params_hash={_params_hash(result.params, result.T)}\n")
+        out.write(f"# params_hash={_params_hash(plan.params, plan.T)}\n")
         coords = ",".join(f"x{j + 1}" for j in range(P.d))
         out.write(f"index,{coords},tau,fallback,oracle_calls\n")
-        _write_rows(
-            out,
-            np.arange(len(result)),
-            *result.points.T,
-            result.tau,
-            result.fallback,
-            result.oracle_calls,
-        )
-    finally:
-        if close:
-            out.close()
+        # each chunk is written as soon as it is made, then dropped
+        start = 0
+        for batch in plan.chunks():
+            stop = start + len(batch)
+            _write_rows(
+                out,
+                np.arange(start, stop),
+                *batch.points.T,
+                batch.tau,
+                batch.fallback,
+                batch.oracle_calls,
+            )
+            start = stop
     return 0
 
 
@@ -209,8 +244,7 @@ def cmd_diagnose(args) -> int:
     # acceptance of the walk that made the draws (nan when no walk ran)
     acceptance = result.accepts / result.chain_steps if result.chain_steps else float("nan")
 
-    out, close = _open_out(args)
-    try:
+    with _open_out(args.out) as out:
         out.write(f"# config_hash={_config_hash(args)}\n")
         out.write(f"# version={__version__}\n")
         out.write(f"# params_hash={_params_hash(result.params, result.T)}\n")
@@ -246,9 +280,6 @@ def cmd_diagnose(args) -> int:
             sg,
             incl,
         )
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -262,8 +293,7 @@ def cmd_erm(args) -> int:
     best = float(np.min(dp.enumerate_vertices(inst.polytope) @ csum))
     gaps = batch.thetas @ csum - best
 
-    out, close = _open_out(args)
-    try:
+    with _open_out(args.out) as out:
         out.write(f"# config_hash={_config_hash(args)}\n")
         out.write(f"# version={__version__}\n")
         out.write(f"# params_hash={_params_hash(batch.params, batch.T)}\n")
@@ -281,9 +311,6 @@ def cmd_erm(args) -> int:
             batch.oracle_calls,
             gaps,
         )
-    finally:
-        if close:
-            out.close()
     return 0
 
 

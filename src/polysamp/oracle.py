@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from .density import LogDensity
-from .errors import ConfigError
+from .errors import ConfigError, ContractViolation
 from .geometry import Polytope, contains_many
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 ACCEPTANCE_GUARD = 1e-4
+WEIGHT_SLACK = 1e-9  # rounding allowed above 1 in an acceptance weight
 
 
 def box_bounds(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +81,9 @@ class ExactSampler:
     1{x in K} * exp(-(f(x) - f_lower)), where f_lower = f(center) - L * rho
     (rho the box circumradius) is a Lipschitz lower bound for f on the box,
     so the acceptance weight never exceeds 1 and accepted points are exactly
-    pi-distributed. Construction runs a pilot batch and refuses instances
+    pi-distributed. A weight above 1 (beyond rounding) proves the declared L
+    too small, and the pilot or the draw that meets it raises
+    ContractViolation. Construction runs a pilot batch and refuses instances
     whose estimated acceptance falls below ``guard`` (the whole design
     trades efficiency for exactness; a starved rejection loop means the
     instance is too large for an oracle, not that the oracle should adapt).
@@ -120,6 +123,12 @@ class ExactSampler:
         if np.any(member):
             vals = self.f.eval_many(X[member])
             probs[member] = np.exp(-(vals - self.f_lower))
+            worst = float(probs.max())
+            if worst > 1 + WEIGHT_SLACK:
+                raise ContractViolation(
+                    f"rejection weight {worst:.6g} exceeds 1: density "
+                    f"'{self.f.name}' varies faster than its declared L={self.f.L:g}"
+                )
         return probs
 
     def draw(self, rng: np.random.Generator, n: int, max_chunk: int = 500_000) -> np.ndarray:

@@ -7,12 +7,20 @@ come from its own draw pool on stream (seed, POOL_STREAM + j). Auxiliary
 consumers (the step-size tuner, the exact sampler's pilot) use a reserved
 stream id far above any chunk index. Output is therefore byte-identical for
 any worker count, and a worker pool only changes wall-clock time.
+
+``plan_sampling`` does the set-up (normalize, schedule, T, eta, oracle) and
+returns a ``SamplingPlan``, whose ``chunks()`` runs the chunks and yields
+their rows in chunk order. A caller that writes each chunk as it comes, as
+the CLI's ``sample`` does, holds O(workers * CHUNK) rows at a time, whatever
+n is. ``run_sampling`` collects every chunk into one ``SamplingResult``.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -22,7 +30,15 @@ from .errors import ConfigError
 from .geometry import Polytope, normalize
 from .oracle import ExactSampler
 
-__all__ = ["CHUNK", "POOL_STREAM", "rng_stream", "SamplingResult", "run_sampling"]
+__all__ = [
+    "CHUNK",
+    "POOL_STREAM",
+    "rng_stream",
+    "SamplingPlan",
+    "SamplingResult",
+    "plan_sampling",
+    "run_sampling",
+]
 
 CHUNK = 8192
 AUX_STREAM = 1 << 62  # tuner/pilot stream; chunk indices stay far below this
@@ -33,6 +49,72 @@ MAX_SEED = 2**63
 def rng_stream(seed: int, stream: int) -> np.random.Generator:
     """Counter-based generator for (seed, stream); streams never collide."""
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
+
+
+def _ordered(fn, count: int, workers: int) -> Iterator:
+    """fn(0), ..., fn(count - 1) in order, with at most ``workers`` calls
+    started ahead of the result being consumed."""
+    if workers == 1 or count == 1:
+        yield from map(fn, range(count))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead = deque(pool.submit(fn, j) for j in range(min(workers, count)))
+        for j in range(workers, count + workers):
+            result = ahead.popleft().result()
+            if j < count:
+                ahead.append(pool.submit(fn, j))
+            yield result
+
+
+@dataclass
+class SamplingPlan:
+    """A sampling run after set-up, before any chunk has run.
+
+    chain_steps and accepts sum the walk work of the chunks the latest
+    ``chunks()`` iteration has yielded (both stay 0 for the exact oracle).
+    """
+
+    polytope: Polytope  # normalized
+    density: LogDensity  # shifted to normalized coordinates
+    translation: np.ndarray
+    params: converter.ConverterParams
+    seed: int
+    n: int
+    workers: int
+    chunk: int
+    chunk_oracle: Callable[[int], Callable] = field(repr=False)
+    T: int | None = None
+    eta: float | None = None
+    tune_acceptance: float | None = None
+    chain_steps: int = 0
+    accepts: int = 0
+
+    def _run_chunk(self, j: int):
+        start = j * self.chunk
+        oracle_batch = self.chunk_oracle(j)
+        batch = converter.convert_batch(
+            self.polytope,
+            oracle_batch,
+            self.params,
+            rng_stream(self.seed, j),
+            min(self.chunk, self.n - start),
+        )
+        batch.points += self.translation
+        return batch, oracle_batch
+
+    def chunks(self) -> Iterator[converter.SampleBatch]:
+        """Run the chunks and yield each one's rows in chunk order, with
+        points in the caller's original coordinates.
+
+        With workers > 1, at most ``workers`` chunks run ahead of the one
+        just yielded, so finished chunks never pile up.
+        """
+        n_chunks = (self.n + self.chunk - 1) // self.chunk
+        self.chain_steps = self.accepts = 0
+        for batch, oracle_batch in _ordered(self._run_chunk, n_chunks, self.workers):
+            self.chain_steps += getattr(oracle_batch, "chain_steps", 0)
+            self.accepts += getattr(oracle_batch, "accepts", 0)
+            yield batch
 
 
 @dataclass
@@ -74,7 +156,7 @@ class SamplingResult:
         )
 
 
-def run_sampling(
+def plan_sampling(
     P: Polytope,
     f: LogDensity,
     eps: float,
@@ -85,8 +167,8 @@ def run_sampling(
     oracle: str = "dikin",
     workers: int = 1,
     chunk: int = CHUNK,
-) -> SamplingResult:
-    """Draw n samples with infinity-distance target eps.
+) -> SamplingPlan:
+    """Set up a run of n samples with infinity-distance target eps.
 
     Args:
         oracle: "dikin" for the production walk, "exact" for the rejection
@@ -127,46 +209,68 @@ def run_sampling(
     else:
         raise ConfigError(f"unknown oracle kind {oracle!r} (expected dikin or exact)")
 
-    points = np.empty((n, Pn.d))
+    return SamplingPlan(
+        polytope=Pn,
+        density=fn,
+        translation=translation,
+        params=params,
+        seed=seed,
+        n=n,
+        workers=workers,
+        chunk=chunk,
+        chunk_oracle=chunk_oracle,
+        T=T,
+        eta=eta_used,
+        tune_acceptance=acc,
+    )
+
+
+def run_sampling(
+    P: Polytope,
+    f: LogDensity,
+    eps: float,
+    n: int,
+    seed: int,
+    c_mix: float = 1e-4,
+    eta: float | None = None,
+    oracle: str = "dikin",
+    workers: int = 1,
+    chunk: int = CHUNK,
+) -> SamplingResult:
+    """Draw n samples with infinity-distance target eps, all in memory.
+
+    Takes the arguments of ``plan_sampling`` and fills one preallocated
+    array per column from the plan's chunks.
+    """
+    plan = plan_sampling(P, f, eps, n, seed, c_mix, eta, oracle, workers, chunk)
+    points = np.empty((n, plan.polytope.d))
     tau = np.empty(n, dtype=np.int64)
     fallback = np.empty(n, dtype=bool)
     oracle_calls = np.empty(n, dtype=np.int64)
-
-    def do_chunk(j: int) -> tuple[int, int]:
-        start = j * chunk
-        k = min(chunk, n - start)
-        oracle_batch = chunk_oracle(j)
-        batch = converter.convert_batch(Pn, oracle_batch, params, rng_stream(seed, j), k)
-        sl = slice(start, start + k)
+    start = 0
+    for batch in plan.chunks():
+        sl = slice(start, start + len(batch))
         points[sl] = batch.points
         tau[sl] = batch.tau
         fallback[sl] = batch.fallback
         oracle_calls[sl] = batch.oracle_calls
-        return getattr(oracle_batch, "chain_steps", 0), getattr(oracle_batch, "accepts", 0)
-
-    n_chunks = (n + chunk - 1) // chunk
-    if workers == 1 or n_chunks == 1:
-        work = [do_chunk(j) for j in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            work = list(pool.map(do_chunk, range(n_chunks)))
-    chain_steps, accepts = (sum(w) for w in zip(*work))
+        start = sl.stop
 
     return SamplingResult(
-        points=points + translation,
+        points=points,
         tau=tau,
         fallback=fallback,
         oracle_calls=oracle_calls,
-        params=params,
-        translation=translation,
-        polytope=Pn,
-        density=fn,
+        params=plan.params,
+        translation=plan.translation,
+        polytope=plan.polytope,
+        density=plan.density,
         oracle_kind=oracle,
         seed=seed,
         c_mix=c_mix,
-        T=T,
-        eta=eta_used,
-        tune_acceptance=acc,
-        chain_steps=chain_steps,
-        accepts=accepts,
+        T=plan.T,
+        eta=plan.eta,
+        tune_acceptance=plan.tune_acceptance,
+        chain_steps=plan.chain_steps,
+        accepts=plan.accepts,
     )

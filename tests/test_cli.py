@@ -2,15 +2,20 @@
 
 import io
 import math
+import os
+import stat
 import subprocess
 import sys
+import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import helpers
-from polysamp import cli
+from polysamp import cli, converter
+from polysamp.errors import ContractViolation
 from polysamp.geometry import contains_many, load_polytope
 from polysamp.pipeline import CHUNK
 
@@ -336,6 +341,156 @@ def test_exit_3_under_declared_outer_radius(tmp_path, capsys):
     )
     assert code == 3
     assert "contract violation" in err
+
+
+def _exact_sample_argv(polytope, n: int, *extra) -> list[str]:
+    return [
+        "sample",
+        "--polytope",
+        str(polytope),
+        "--density",
+        "linear:1,0",
+        "--eps",
+        "0.5",
+        "--oracle",
+        "exact",
+        "--n",
+        str(n),
+        "--seed",
+        "4",
+        *extra,
+    ]
+
+
+def _fail_on_call(monkeypatch, call: int):
+    """Make the call-th converter.convert_batch call raise ContractViolation."""
+    convert, calls = converter.convert_batch, []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            raise ContractViolation("injected failure")
+        return convert(*args, **kwargs)
+
+    monkeypatch.setattr(converter, "convert_batch", failing)
+
+
+@pytest.mark.parametrize("existing", (None, b"earlier run\n"))
+def test_sample_failure_mid_run_leaves_out_untouched(
+    existing, square_file, tmp_path, capsys, monkeypatch
+):
+    # 20000 rows make three chunks; the second one fails after the first
+    # has been written. F stays absent, or keeps its old bytes, and no
+    # temporary file is left beside it.
+    _fail_on_call(monkeypatch, 2)
+    out = tmp_path / "out" / "s.csv"
+    out.parent.mkdir()
+    if existing is not None:
+        out.write_bytes(existing)
+    code, _, err = run_cli(_exact_sample_argv(square_file, 20000, "--out", str(out)), capsys)
+    assert code == 3
+    assert "injected failure" in err
+    if existing is None:
+        assert list(out.parent.iterdir()) == []
+    else:
+        assert list(out.parent.iterdir()) == [out]
+        assert out.read_bytes() == existing
+
+
+def test_sample_failure_on_stdout_keeps_written_chunks(square_file, capsys, monkeypatch):
+    # stdout cannot be taken back: the rows of chunk 0 are already out
+    _fail_on_call(monkeypatch, 2)
+    code, out, _ = run_cli(_exact_sample_argv(square_file, 20000), capsys)
+    assert code == 3
+    _, _, rows = parse_csv(out)
+    assert len(rows) == CHUNK
+
+
+def test_out_file_mode_matches_plain_open(square_file, tmp_path, capsys):
+    # a new file gets 0o666 under the umask, as open() creates it; an
+    # existing file keeps its mode, as open() truncating it would
+    old_umask = os.umask(0o027)
+    try:
+        new = tmp_path / "new.csv"
+        assert run_cli(_exact_sample_argv(square_file, 10, "--out", str(new)), capsys)[0] == 0
+        assert stat.S_IMODE(new.stat().st_mode) == 0o640
+        existing = tmp_path / "existing.csv"
+        existing.write_text("old\n")
+        existing.chmod(0o604)
+        assert run_cli(_exact_sample_argv(square_file, 10, "--out", str(existing)), capsys)[0] == 0
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o604
+        assert existing.read_bytes() == new.read_bytes()
+    finally:
+        os.umask(old_umask)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.csv", "new.csv", "square.txt"]
+
+
+def test_out_to_fifo_and_symlink_writes_through(square_file, tmp_path, capsys):
+    # targets that are not plain regular files are written directly, not
+    # replaced by a renamed temporary file
+    argv = _exact_sample_argv(square_file, 300)
+    code, expected, _ = run_cli(argv, capsys)
+    assert code == 0
+
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run_cli([*argv, "--out", str(fifo)], capsys)[0] == 0
+    reader.join(timeout=60)
+    assert got == [expected]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert run_cli([*argv, "--out", str(link)], capsys)[0] == 0
+    assert link.is_symlink()
+    assert target.read_text() == expected
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_memory_flat_in_n(square_file, tmp_path):
+    # numpy reports its buffers to tracemalloc; rows are written chunk by
+    # chunk, so 16 times the rows must not mean a larger peak
+    out = str(tmp_path / "s.csv")
+    small = _traced_peak(_exact_sample_argv(square_file, 2 * CHUNK, "--out", out))
+    large = _traced_peak(_exact_sample_argv(square_file, 32 * CHUNK, "--out", out))
+    assert large <= 1.5 * small, (small, large)
+
+
+def test_sample_workers_bound_chunks_in_flight(square_file, tmp_path, capsys, monkeypatch):
+    # with 3 workers, no chunk may enter the converter more than 3 chunks
+    # ahead of the chunk being written
+    convert, entered, ahead = converter.convert_batch, [], []
+
+    def counting(*args, **kwargs):
+        entered.append(None)
+        return convert(*args, **kwargs)
+
+    write_rows = cli._write_rows
+
+    def recording(out, index, *columns):
+        ahead.append(len(entered) - (int(index[0]) // CHUNK + 1))
+        write_rows(out, index, *columns)
+
+    monkeypatch.setattr(converter, "convert_batch", counting)
+    monkeypatch.setattr(cli, "_write_rows", recording)
+    argv = _exact_sample_argv(square_file, 8 * CHUNK + 5, "--workers", "3")
+    code, _, _ = run_cli([*argv, "--out", str(tmp_path / "s.csv")], capsys)
+    assert code == 0
+    assert len(entered) == len(ahead) == 9
+    assert max(ahead) <= 3, ahead
 
 
 # ---------------------------------------------------------------------------

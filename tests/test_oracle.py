@@ -7,9 +7,10 @@ import pytest
 
 import helpers
 from polysamp import oracle
-from polysamp.density import linear, uniform
-from polysamp.errors import ConfigError
+from polysamp.density import LogDensity, linear, uniform
+from polysamp.errors import ConfigError, ContractViolation
 from polysamp.geometry import Polytope, box, contains_many
+from polysamp.pipeline import run_sampling
 from polysamp.oracle import (
     CellGrid,
     ExactSampler,
@@ -107,6 +108,26 @@ def test_exact_sampler_deterministic(seg):
     a = ExactSampler(seg, f, np.random.default_rng(7)).draw(np.random.default_rng(8), 100)
     b = ExactSampler(seg, f, np.random.default_rng(7)).draw(np.random.default_rng(8), 100)
     assert np.array_equal(a, b)
+
+
+def test_exact_sampler_rejects_under_declared_lipschitz(sq):
+    # f = 5 x1 declared with L = 0.1: weights above 1 would be treated as 1,
+    # giving mean x1 near -0.40 where pi has about -0.80
+    f = LogDensity(lambda X: 5.0 * X[:, 0], L=0.1, name="steep")
+    with pytest.raises(ContractViolation, match="declared L=0.1"):
+        ExactSampler(sq, f, np.random.default_rng(3))
+    with pytest.raises(ContractViolation, match="declared L=0.1"):
+        run_sampling(sq, f, eps=0.5, n=100, seed=3, oracle="exact")
+
+
+def test_exact_sampler_draw_checks_weights(sq):
+    # the pilot sees an honest f; the density steepens before the draw
+    slope = [0.1]
+    f = LogDensity(lambda X: slope[0] * X[:, 0], L=0.1, name="steepening")
+    s = ExactSampler(sq, f, np.random.default_rng(3))
+    slope[0] = 5.0
+    with pytest.raises(ContractViolation, match="exceeds 1"):
+        s.draw(np.random.default_rng(4), 1000)
 
 
 # ---------------------------------------------------------------------------
