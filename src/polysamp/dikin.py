@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import LogDensity
-from .geometry import Polytope, margin, sample_unit_ball, sample_unit_ball_many
+from .geometry import Polytope, all_rows, margin, sample_unit_ball, sample_unit_ball_many
 
 __all__ = [
     "ChainState",
@@ -236,24 +236,6 @@ def _row_blocks(n: int) -> list[slice]:
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
     return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-
-
-# Flags of a row with m = 1, 2, 4 or 8 slacks, all set, read as one integer.
-_ALL_SET = {m: np.array(int("01" * m, 16), dtype=f"<u{m}") for m in (1, 2, 4, 8)}
-
-
-def _all_positive(S: np.ndarray, flags: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[i] = all(S[i] > 0), i.e. np.all(S > 0, axis=1).
-
-    For m in _ALL_SET each row's flags are compared as one integer; the
-    axis-1 reduction costs about 25 ns per row on such short rows.
-    """
-    m = S.shape[1]
-    np.greater(S, 0.0, out=flags)
-    if m not in _ALL_SET:
-        return np.all(flags, axis=1, out=out)
-    word = flags.view(_ALL_SET[m].dtype).reshape(-1)
-    return np.equal(word, _ALL_SET[m], out=out)
 
 
 class _Barrier1D:
@@ -485,7 +467,8 @@ class _LowDimWalk:
             np.add(x, zj, out=y)
         np.matmul(blk.Y, self.AT, out=S)
         np.subtract(blk.b, S, out=S)
-        n_in = np.count_nonzero(_all_positive(S, blk.flags, blk.inside))
+        np.greater(S, 0.0, out=blk.flags)
+        n_in = np.count_nonzero(all_rows(blk.flags, blk.inside))
 
         np.square(S, out=S)
         np.divide(1.0, S, out=S)

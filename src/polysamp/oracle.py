@@ -115,20 +115,30 @@ class ExactSampler:
             )
 
     def _propose(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        return self.lo + (self.hi - self.lo) * rng.random((k, self.P.d))
+        U = rng.random((k, self.P.d))
+        # lo + (hi - lo) * U by columns: a broadcast length-d row is slow
+        for col, lo, span in zip(U.T, self.lo, self.hi - self.lo):
+            col *= span
+            col += lo
+        return U
 
     def _accept_probs(self, X: np.ndarray) -> np.ndarray:
         member = contains_many(self.P, X)
+        if not member.any():
+            return np.zeros(X.shape[0])
+        # with every proposal in K (always so for a box) skip gather and scatter
+        every = member.all()
+        w = np.exp(-(self.f.eval_many(X if every else X.compress(member, axis=0)) - self.f_lower))
+        worst = float(w.max())
+        if worst > 1 + WEIGHT_SLACK:
+            raise ContractViolation(
+                f"rejection weight {worst:.6g} exceeds 1: density "
+                f"'{self.f.name}' varies faster than its declared L={self.f.L:g}"
+            )
+        if every:
+            return w
         probs = np.zeros(X.shape[0])
-        if np.any(member):
-            vals = self.f.eval_many(X[member])
-            probs[member] = np.exp(-(vals - self.f_lower))
-            worst = float(probs.max())
-            if worst > 1 + WEIGHT_SLACK:
-                raise ContractViolation(
-                    f"rejection weight {worst:.6g} exceeds 1: density "
-                    f"'{self.f.name}' varies faster than its declared L={self.f.L:g}"
-                )
+        probs[member] = w
         return probs
 
     def draw(self, rng: np.random.Generator, n: int, max_chunk: int = 500_000) -> np.ndarray:
@@ -141,7 +151,7 @@ class ExactSampler:
             k = min(max_chunk, int(want / rate * 1.2) + 64)
             X = self._propose(rng, k)
             accept = rng.random(k) < self._accept_probs(X)
-            taken = X[accept][:want]
+            taken = X.compress(accept, axis=0)[:want]
             out[got : got + taken.shape[0]] = taken
             got += taken.shape[0]
         return out

@@ -14,7 +14,7 @@ from decimal import ROUND_CEILING, Decimal, getcontext
 
 import numpy as np
 
-from polysamp import dikin
+from polysamp import dikin, oracle
 from polysamp.geometry import Polytope
 
 getcontext().prec = 50
@@ -302,6 +302,49 @@ def reference_run_chains_batch(
         rep = ops.where(accept, rep_y, rep)
 
     return X, accepts
+
+
+# ---------------------------------------------------------------------------
+# Reference membership, ball and rejection kernels
+# ---------------------------------------------------------------------------
+#
+# The one-liners that the column-wise kernels of ``geometry`` and the
+# in-place proposals of ``oracle.ExactSampler`` replaced, kept verbatim: the
+# production kernels must give the same bits.
+
+
+def reference_contains_many(P: Polytope, X) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return np.all(X @ P.A.T <= P.b, axis=1)
+
+
+def reference_sample_unit_ball_many(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    g = rng.standard_normal((n, d))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    radii = rng.random(n) ** (1.0 / d)
+    return g * radii[:, None]
+
+
+def reference_exact_draw(sampler, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``ExactSampler.draw`` with its former proposal and weight code (the
+    weight <= 1 check left out)."""
+    P, f = sampler.P, sampler.f
+    out = np.empty((n, P.d))
+    got = 0
+    rate = max(sampler.pilot_acceptance, oracle.ACCEPTANCE_GUARD)
+    while got < n:
+        want = n - got
+        k = min(500_000, int(want / rate * 1.2) + 64)
+        X = sampler.lo + (sampler.hi - sampler.lo) * rng.random((k, P.d))
+        member = reference_contains_many(P, X)
+        probs = np.zeros(k)
+        if np.any(member):
+            probs[member] = np.exp(-(f.eval_many(X[member]) - sampler.f_lower))
+        accept = rng.random(k) < probs
+        taken = X[accept][:want]
+        out[got : got + taken.shape[0]] = taken
+        got += taken.shape[0]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI behavior: output formats, exit codes, and the determinism contract."""
 
+import hashlib
 import io
 import math
 import os
@@ -165,6 +166,22 @@ def test_sample_walk_worker_count_invariance(square_file, tmp_path, capsys):
         square_file, tmp_path, capsys, "--oracle", "dikin", "--cmix", "0.01"
     )
     assert outs[0] == outs[1]
+
+
+# sha256 of `sample --oracle exact --n 20000 --seed 3` on the square, taken
+# before the row-template writer and the column-wise membership, norm and
+# proposal kernels: 20000 rows make two full chunks and a partial third
+PINNED_SAMPLE_SHA256 = "763197d211fdd8a6795e98884308d1814a57e432e7665fc2c0880b234d1ba9ab"
+
+
+@pytest.mark.parametrize("workers", ("1", "2"))
+def test_sample_pinned_bytes(workers, square_file, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    argv = ["sample", "--polytope", str(square_file), "--density", "linear:1,0", "--eps", "0.5"]
+    argv += ["--oracle", "exact", "--n", "20000", "--seed", "3", "--workers", workers]
+    code, _, _ = run_cli([*argv, "--out", str(out)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SAMPLE_SHA256
 
 
 def test_sample_rows_live_in_polytope(square_file, capsys):
@@ -449,6 +466,28 @@ def test_out_to_fifo_and_symlink_writes_through(square_file, tmp_path, capsys):
     assert run_cli([*argv, "--out", str(link)], capsys)[0] == 0
     assert link.is_symlink()
     assert target.read_text() == expected
+
+
+@pytest.mark.parametrize("target", ("missing_dir", "directory"))
+@pytest.mark.parametrize("command", ("sample", "diagnose", "erm"))
+def test_unwritable_out_exits_2_before_sampling(
+    command, target, square_file, erm_file, tmp_path, capsys, monkeypatch
+):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before opening --out")
+
+    monkeypatch.setattr(cli, "plan_sampling", no_sampling)
+    monkeypatch.setattr(cli, "run_sampling", no_sampling)
+    monkeypatch.setattr(cli.dp, "private_erm_batch", no_sampling)
+    out = tmp_path / "missing" / "x.csv" if target == "missing_dir" else tmp_path
+    if command == "erm":
+        argv = ["erm", "--polytope", str(erm_file)]
+    else:
+        argv = [command, "--polytope", str(square_file), "--eps", "0.5", "--oracle", "exact"]
+    code, _, err = run_cli([*argv, "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith(f"config error: cannot write {out}: ")
+    assert sorted(tmp_path.iterdir()) == sorted([square_file, erm_file])
 
 
 def _traced_peak(argv) -> int:
@@ -753,6 +792,35 @@ def test_write_rows_matches_reference_loops(d, n):
         text = "".join(texts)
         for token in ("e-05", "e+16", "5e-324", "-0.0", ",nan,", ",inf,", ",-inf,", "center"):
             assert token in text, token
+
+
+@pytest.mark.parametrize("n", (1, 300))
+@pytest.mark.parametrize("dtype", (np.int64, np.int32, np.int8, np.uint8, np.uint16, np.uint64))
+def test_write_rows_int_and_special_values_match_reference(dtype, n):
+    # ints below, at and above the string table's size, negative ints,
+    # nan/inf/-0.0 coordinates and erm's labels, in blocks of one row too
+    info = np.iinfo(dtype)
+    table = cli._SMALL_INTS.size
+    pool = (0, 1, table - 1, table, table + 1, info.max, info.min, -1, -table)
+    pool = np.array([v for v in pool if info.min <= v <= info.max], dtype=dtype)
+    rng = np.random.default_rng(n)
+    mixed = pool[rng.integers(0, pool.size, n)]
+    small = rng.integers(0, min(table, info.max + 1), n).astype(dtype)
+    X = np.resize(np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300]), (n, 2))
+    X[:, 1] = rng.standard_normal(n)
+    fallback = rng.random(n) < 0.5
+    labels = np.array(["none", "ball", "center"], dtype="<U6")[rng.integers(0, 3, n)]
+    index = np.arange(n)
+    cases = [
+        (helpers.reference_sample_rows, (X, mixed, fallback, small), (index, *X.T, mixed, fallback, small)),
+        (helpers.reference_sample_rows, (X, small, fallback, mixed), (index, *X.T, small, fallback, mixed)),
+        (helpers.reference_erm_rows, (X, mixed, labels, small, X[:, 0]), (index, *X.T, mixed, labels, small, X[:, 0])),
+    ]
+    for reference, ref_args, columns in cases:
+        want, got = io.StringIO(), io.StringIO()
+        reference(want, *ref_args)
+        cli._write_rows(got, *columns)
+        assert got.getvalue() == want.getvalue(), reference.__name__
 
 
 def test_write_rows_one_bounded_write_per_block():

@@ -10,6 +10,8 @@ from polysamp.errors import ConfigError, ContractViolation
 from polysamp.geometry import (
     Ball,
     Polytope,
+    _row_norms,
+    all_rows,
     box,
     check_outer_radius,
     contains,
@@ -83,6 +85,37 @@ def test_contains_many_matches_scalar(sq, rng):
     for i in range(20):
         assert many[i] == contains(sq, X[i])
     np.testing.assert_allclose(margin_many(sq, X[:20]), [margin(sq, x) for x in X[:20]])
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_contains_many_matches_reference(m, rng):
+    # m in {1, 2, 4, 8} compares each row's flags as one integer; other m,
+    # and flags that are not C-contiguous, take np.all
+    A = rng.standard_normal((m, 3))
+    P = Polytope(A, np.linalg.norm(A, axis=1), np.zeros(3), 1.0, 10.0)
+    X = rng.uniform(-2.0, 2.0, size=(1001, 3))
+    X[::7] = np.nan
+    X[1::11, 2] = np.nan
+    want = helpers.reference_contains_many(P, X)
+    assert 0 < want.sum() < want.size
+    for Y in (X, np.asfortranarray(X), X[::-2], X[:1], X[:0]):
+        got = contains_many(P, Y)
+        assert got.dtype == bool
+        assert np.array_equal(got, helpers.reference_contains_many(P, Y))
+    flags = rng.random((50, m)) < 0.8
+    for F in (flags, np.asfortranarray(flags), flags[::2], flags[:, ::-1]):
+        assert np.array_equal(all_rows(F), np.all(F, axis=1))
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_row_norms_and_ball_draws_match_numpy_norm(d, rng):
+    # d >= 8 keeps numpy's pairwise sum; below, the column loop must agree
+    X = rng.standard_normal((999, d)) * 10.0 ** rng.integers(-3, 4, size=(999, d))
+    for Y in (X, np.asfortranarray(X)):
+        assert np.array_equal(_row_norms(Y), np.linalg.norm(Y, axis=1))
+    got = sample_unit_ball_many(np.random.default_rng(d), 999, d)
+    want = helpers.reference_sample_unit_ball_many(np.random.default_rng(d), 999, d)
+    assert np.array_equal(got, want)
 
 
 def test_normalize_recenters_and_preserves_radii():

@@ -120,8 +120,25 @@ def test_exact_sampler_rejects_under_declared_lipschitz(sq):
         run_sampling(sq, f, eps=0.5, n=100, seed=3, oracle="exact")
 
 
+@pytest.mark.parametrize("shape", ("square", "triangle"))
+def test_exact_sampler_draw_matches_reference(shape, sq):
+    # every box proposal lies in the square; some miss the triangle
+    P = sq if shape == "square" else triangle()
+    f = linear(np.array([1.0, 0.5]))
+    s = ExactSampler(P, f, np.random.default_rng(1))
+    inside = contains_many(P, s._propose(np.random.default_rng(2), 1000))
+    assert inside.all() == (shape == "square")
+    before = f.call_count
+    got = s.draw(np.random.default_rng(5), 3000)
+    got_evals = f.call_count - before
+    want = helpers.reference_exact_draw(s, np.random.default_rng(5), 3000)
+    assert np.array_equal(got, want)
+    assert got_evals == f.call_count - before - got_evals
+
+
 def test_exact_sampler_draw_checks_weights(sq):
-    # the pilot sees an honest f; the density steepens before the draw
+    # the pilot sees an honest f; the density steepens before the draw. On
+    # the square every proposal is in K, so this is the no-gather path.
     slope = [0.1]
     f = LogDensity(lambda X: slope[0] * X[:, 0], L=0.1, name="steepening")
     s = ExactSampler(sq, f, np.random.default_rng(3))
