@@ -355,14 +355,20 @@ def _add_common(sp, *, density: bool = True, eps: bool = True):
     sp.add_argument("--n", type=int, default=1, help="number of output points")
     sp.add_argument("--cmix", type=float, default=None, help="mixing-time prefactor override")
     sp.add_argument("--eta", type=float, default=None, help="walk step size (default: auto-tune)")
-    sp.add_argument("--out", default=None, help="output file (default: stdout)")
-    workers = "worker threads for chunks (same output at any count; 2 on 2 CPUs saved 0-20%% time)"
-    sp.add_argument("--workers", type=int, default=1, help=workers)
     sp.add_argument(
         "--paper-constants",
         action="store_true",
         help="use C_mix=1 (the analysis constant) instead of the desk default",
     )
+
+
+def _add_output(sp, *, workers: bool = True):
+    """--out for the commands that write a CSV; --workers for those that
+    run their chunks through ``plan_sampling``."""
+    sp.add_argument("--out", default=None, help="output file (default: stdout)")
+    if workers:
+        help_ = "worker threads for chunks (same output at any count; 2 on 2 CPUs saved 0-20%% time)"
+        sp.add_argument("--workers", type=int, default=1, help=help_)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,15 +384,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="draw N points to CSV")
     _add_common(sp)
+    _add_output(sp)
     sp.add_argument("--oracle", choices=("dikin", "exact"), default="dikin")
 
     sp = sub.add_parser("diagnose", help="compare a run against exact cell masses (d <= 3)")
     _add_common(sp)
+    _add_output(sp)
     sp.add_argument("--oracle", choices=("dikin", "exact"), default="dikin")
     sp.add_argument("--bins", type=int, default=None, help="grid cells per axis")
 
     sp = sub.add_parser("erm", help="differentially private ERM on an instance file")
     _add_common(sp, density=False, eps=False)
+    _add_output(sp, workers=False)
 
     return ap
 

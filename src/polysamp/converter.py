@@ -29,23 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .geometry import (
-    Polytope,
-    check_outer_radius,
-    contains,
-    contains_many,
-    sample_unit_ball,
-    sample_unit_ball_many,
-    stretch,
-)
+from .geometry import Polytope, check_outer_radius, contains_many, sample_unit_ball_many
 
 __all__ = [
     "ConverterParams",
-    "ConverterOutput",
     "SampleBatch",
     "compute_params",
-    "check_settings",
-    "convert",
     "convert_batch",
     "tau_statistics",
     "TauSummary",
@@ -68,16 +57,6 @@ class ConverterParams:
     delta_log: float
 
 
-@dataclass(frozen=True)
-class ConverterOutput:
-    """One converted sample with its provenance."""
-
-    point: np.ndarray
-    tau: int
-    fallback: bool
-    oracle_calls: int
-
-
 @dataclass
 class SampleBatch:
     """Vectorized converter outputs: points plus per-run provenance."""
@@ -89,12 +68,6 @@ class SampleBatch:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    def outputs(self) -> list[ConverterOutput]:
-        return [
-            ConverterOutput(self.points[i], int(self.tau[i]), bool(self.fallback[i]), int(self.oracle_calls[i]))
-            for i in range(len(self))
-        ]
 
 
 def compute_params(eps: float, L: float, r: float, R: float, d: int) -> ConverterParams:
@@ -124,71 +97,14 @@ def compute_params(eps: float, L: float, r: float, R: float, d: int) -> Converte
     return ConverterParams(eps=eps, delta=delta, tau_max=tau_max, delta_log=delta_log)
 
 
-def check_settings(params: ConverterParams, L: float, r: float, R: float, d: int) -> bool:
-    """Do the three schedule constraints hold for this geometry?
-
-    Used by property tests; ``compute_params`` satisfies them by
-    construction (with equality, so the comparisons are non-strict).
-    """
-    ok_tau = params.tau_max >= 5.0 * d * math.log(R / r) + 5.0 * L * R + params.eps
-    ok_delta = params.delta <= params.eps / (512.0 * params.tau_max * max(float(d), L * R))
-    ok_dlog = params.delta_log <= math.log(params.eps / 64.0) - d * math.log(R / (params.delta * r)) - L * R
-    return bool(ok_tau and ok_delta and ok_dlog and 0.0 < params.eps <= 1.0)
-
-
-def _validate_oracle_point(P: Polytope, theta: np.ndarray) -> None:
-    if not contains(P, theta):
-        raise ContractViolation(
-            "sampling oracle returned a point outside the polytope; its TV "
-            "contract requires support inside K"
-        )
-    check_outer_radius(P, theta)
-
-
-def convert(
-    P: Polytope,
-    sample_oracle,
-    params: ConverterParams,
-    rng: np.random.Generator,
-    halt_prob: float = 0.5,
-) -> ConverterOutput:
-    """Run the rejection loop once and return the converted sample.
-
-    Parameters
-    ----------
-    P : normalized polytope (inscribed ball at the origin).
-    sample_oracle : () -> (d,) array
-        Draws from mu with ||mu - pi||_TV <= exp(params.delta_log). A draw
-        outside K is a broken contract and raises ContractViolation.
-    halt_prob : probability of the emission coin (default the algorithm's
-        one half; other values exist for degenerate-pipeline tests only).
-    """
-    d = P.d
-    dr = params.delta * P.r
-    for i in range(1, params.tau_max + 1):
-        theta = np.ravel(np.asarray(sample_oracle(), dtype=float))
-        _validate_oracle_point(P, theta)
-        xi = sample_unit_ball(rng, d)
-        z = theta + dr * xi
-        theta_hat = stretch(z, params.delta)
-        if contains(P, theta_hat) and rng.random() < halt_prob:
-            check_outer_radius(P, theta_hat)
-            return ConverterOutput(point=theta_hat, tau=i, fallback=False, oracle_calls=i)
-    point = P.center + P.r * sample_unit_ball(rng, d)
-    return ConverterOutput(
-        point=point, tau=params.tau_max + 1, fallback=True, oracle_calls=params.tau_max
-    )
-
-
 def convert_batch(
     P: Polytope,
     oracle_batch,
     params: ConverterParams,
     rng: np.random.Generator,
     n: int,
-    halt_prob: float = 0.5,
 ) -> SampleBatch:
-    """Vectorized ``convert``: n independent conversions sharing one RNG.
+    """Run the rejection loop for n independent conversions sharing one RNG.
 
     oracle_batch(k, rng) must return a (k, d) array of independent draws
     from mu. Each loop iteration requests draws only for the runs still
@@ -222,7 +138,7 @@ def convert_batch(
         check_outer_radius(P, theta)
         xi = sample_unit_ball_many(rng, k, d)
         theta_hat = (theta + dr * xi) / (1.0 - params.delta)
-        halt = contains_many(P, theta_hat) & (rng.random(k) < halt_prob)
+        halt = contains_many(P, theta_hat) & (rng.random(k) < 0.5)
         if np.any(halt):
             done = alive[halt]
             points[done] = theta_hat[halt]
@@ -271,12 +187,10 @@ class TauSummary:
 
 
 def _tau_array(runs) -> np.ndarray:
-    if isinstance(runs, SampleBatch):
-        return np.asarray(runs.tau, dtype=np.int64)
-    taus = [run.tau if isinstance(run, ConverterOutput) else int(run) for run in runs]
-    if not taus:
+    taus = np.asarray(runs.tau if isinstance(runs, SampleBatch) else runs, dtype=np.int64)
+    if not taus.size:
         raise ValueError("tau_statistics needs at least one run")
-    return np.asarray(taus, dtype=np.int64)
+    return taus
 
 
 def tau_statistics(runs, eps: float | None = None, t_max: int = 8) -> TauSummary:
@@ -284,7 +198,7 @@ def tau_statistics(runs, eps: float | None = None, t_max: int = 8) -> TauSummary
 
     Parameters
     ----------
-    runs : SampleBatch, or iterable of ConverterOutput (or raw ints).
+    runs : SampleBatch, or its tau array (any sequence of ints).
     eps : when given, also tests the runtime-privacy band on P(tau = t).
     t_max : largest t included in the band checks (default 8).
 

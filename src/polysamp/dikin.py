@@ -9,28 +9,21 @@ defines the local ellipsoid; the proposal is Gaussian with covariance
 (eta^2 / d) * H(x)^{-1}, and a full Metropolis-Hastings correction (including
 the log-det term of the position-dependent proposal) makes exp(-f) restricted
 to the polytope the stationary law. Correctness rests on the detailed-balance
-identity, which the tests check to 1e-8 in log space; speed rests on tuning
-eta to a sane acceptance band.
+identity, which the tests check to 1e-8 in log space against a one-chain
+reference walk kept in the test suite; speed rests on tuning eta to a sane
+acceptance band.
 
-Two execution paths:
-
-* scalar functions (``propose``, ``accept_prob``, ``run_chain``) that follow
-  the contracts one step at a time and recompute Hessians from scratch,
-* ``run_chains_batch``, which advances many independent chains in lockstep
-  with vectorized numpy kernels. All the large acceptance runs go through
-  the batch path.
-
-For d <= 2 the batch path uses the closed-form Cholesky factor of the 1x1 or
-2x2 Hessian. Each chain's Hessian entries, log det H and f(x) are cached and
-overwritten only on accepted moves, and every step runs in row blocks of at
-most ``BLOCK`` chains over preallocated buffers. The blocks are there for
-BLAS threading: on a whole 1e5-chain batch OpenBLAS spreads the skinny
-products ``Y @ A.T`` and ``(1/S**2) @ a`` over every core, which doubled the
-CPU time of the step without making it faster; on a block it runs them on
-the calling thread, and the block's scratch stays in cache. The random draws
-and the f evaluations still cover the whole batch, so the result is
-bit-identical to the unblocked step. Higher d runs the unblocked step with
-np.linalg's batched factorizations.
+``run_chains_batch`` advances many independent chains in lockstep, for any
+d, with elementwise numpy kernels over the chain axis (structure of arrays).
+Each chain's Hessian H, log det H and f(x) are cached and overwritten only on
+accepted moves, and a step runs one Cholesky factorization (see
+``_Barrier``). Every step runs in row blocks of at most ``BLOCK`` chains over
+preallocated buffers. The blocks are there for BLAS threading: on a whole
+1e5-chain batch OpenBLAS spreads the skinny products ``Y @ A.T`` and
+``(1/S**2) @ a`` over every core, which doubled the CPU time of the step
+without making it faster; on a block it runs them on the calling thread, and
+the block's scratch stays in cache. The random draws and the f evaluations
+still cover the whole batch, so the result does not depend on the blocking.
 
 ``WalkPool`` is how the samplers consume the walk: it runs the batch path in
 blocks of fresh warm-started chains on its own generator and serves the
@@ -41,21 +34,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .density import LogDensity
-from .geometry import Polytope, all_rows, margin, sample_unit_ball, sample_unit_ball_many
+from .geometry import Polytope, all_rows, sample_unit_ball_many
 
 __all__ = [
-    "ChainState",
     "WalkConfig",
-    "barrier_hessian",
-    "propose",
-    "accept_prob",
-    "run_chain",
     "run_chains_batch",
-    "warm_start",
     "warm_start_many",
     "mixing_steps",
     "tune_eta",
@@ -70,13 +58,10 @@ class WalkConfig:
     eta: proposal radius multiplier (the Gaussian proposal covariance is
          (eta^2/d) H(x)^{-1}). Default 0.1; see ``tune_eta``.
     T: Metropolis steps per independent sample.
-    seed: optional RNG seed recorded for provenance (callers pass explicit
-          generators to the step functions).
     """
 
     eta: float = 0.1
     T: int = 1
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if not (self.eta > 0 and np.isfinite(self.eta)):
@@ -85,106 +70,8 @@ class WalkConfig:
             raise ValueError("step count T must be >= 0")
 
 
-@dataclass
-class ChainState:
-    """Current point of one chain plus its cached barrier data."""
-
-    x: np.ndarray
-    H: np.ndarray
-    logdetH: float
-    steps: int = 0
-    accepts: int = 0
-
-
-def barrier_hessian(P: Polytope, x) -> tuple[np.ndarray, float]:
-    """Log-barrier Hessian and its log determinant at an interior point.
-
-    Raises ValueError when any slack b_i - a_i . x is nonpositive; callers
-    must keep the chain strictly inside the polytope.
-    """
-    x = np.ravel(np.asarray(x, dtype=float))
-    s = P.b - P.A @ x
-    if np.any(s <= 0):
-        raise ValueError("barrier Hessian requested at a non-interior point")
-    scaled = P.A / s[:, None]
-    H = scaled.T @ scaled
-    # Cholesky also certifies positive definiteness.
-    L = np.linalg.cholesky(H)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return H, logdet
-
-
-def init_chain(P: Polytope, x0) -> ChainState:
-    x0 = np.ravel(np.asarray(x0, dtype=float)).copy()
-    if margin(P, x0) <= 0:
-        raise ValueError("chain must start strictly inside the polytope")
-    H, logdet = barrier_hessian(P, x0)
-    return ChainState(x=x0, H=H, logdetH=logdet)
-
-
-def propose(state: ChainState, cfg: WalkConfig, rng: np.random.Generator) -> np.ndarray:
-    """Draw y = x + (eta/sqrt(d)) z with z ~ N(0, H(x)^{-1})."""
-    d = state.x.size
-    g = rng.standard_normal(d)
-    L = np.linalg.cholesky(state.H)
-    z = np.linalg.solve(L.T, g)
-    return state.x + (cfg.eta / math.sqrt(d)) * z
-
-
-def log_proposal_density(P: Polytope, u, v, cfg: WalkConfig) -> float:
-    """log q(u -> v) up to the constant that cancels in Metropolis ratios:
-    0.5 * logdet H(u) - (d / (2 eta^2)) (v-u)^T H(u) (v-u)."""
-    u = np.ravel(np.asarray(u, dtype=float))
-    v = np.ravel(np.asarray(v, dtype=float))
-    H, logdet = barrier_hessian(P, u)
-    diff = v - u
-    d = u.size
-    return 0.5 * logdet - (d / (2.0 * cfg.eta**2)) * float(diff @ H @ diff)
-
-
-def accept_prob(P: Polytope, f: LogDensity, x, y, cfg: WalkConfig) -> float:
-    """Metropolis-Hastings acceptance probability for the move x -> y.
-
-    Zero for proposals outside the open polytope (those are rejections, not
-    errors); otherwise min(1, e^{f(x)-f(y)} q(y->x)/q(x->y)).
-    """
-    x = np.ravel(np.asarray(x, dtype=float))
-    y = np.ravel(np.asarray(y, dtype=float))
-    if margin(P, y) <= 0:
-        return 0.0
-    log_ratio = (f(x) - f(y)) + log_proposal_density(P, y, x, cfg) - log_proposal_density(P, x, y, cfg)
-    return float(min(1.0, math.exp(min(log_ratio, 0.0))))
-
-
-def run_chain(P: Polytope, f: LogDensity, cfg: WalkConfig, x0, rng: np.random.Generator) -> np.ndarray:
-    """Run T Metropolis steps from x0 and return the final point."""
-    state = run_chain_state(P, f, cfg, x0, rng)
-    return state.x
-
-
-def run_chain_state(P: Polytope, f: LogDensity, cfg: WalkConfig, x0, rng: np.random.Generator) -> ChainState:
-    """Like ``run_chain`` but returns the full ChainState (counters included)."""
-    state = init_chain(P, x0)
-    for _ in range(cfg.T):
-        y = propose(state, cfg, rng)
-        alpha = accept_prob(P, f, state.x, y, cfg)
-        state.steps += 1
-        # always consume the coin so the stream position is a function of
-        # the step count alone, matching the batched runner draw for draw
-        u = rng.random()
-        if alpha > 0.0 and u < alpha:
-            state.x = y
-            state.H, state.logdetH = barrier_hessian(P, y)
-            state.accepts += 1
-    return state
-
-
-def warm_start(P: Polytope, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw from the inscribed ball (the walk's warm start)."""
-    return P.center + P.r * sample_unit_ball(rng, P.d)
-
-
 def warm_start_many(P: Polytope, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uniform draws from the inscribed ball (the walk's warm starts)."""
     return P.center + P.r * sample_unit_ball_many(rng, n, P.d)
 
 
@@ -214,12 +101,9 @@ def mixing_steps(P: Polytope, f: LogDensity, eps: float, delta_log: float, c_mix
 # ---------------------------------------------------------------------------
 # Vectorized lockstep chains
 # ---------------------------------------------------------------------------
-#
-# The batch path keeps, for every chain: the current point, its Hessian, log
-# det H, and f(x). d <= 2 runs in ``_LowDimWalk``, higher d in ``_run_nd``.
 
-# Chains per row block of the d <= 2 step. A block keeps each BLAS product
-# small enough that OpenBLAS runs it on the calling thread (on 1e5 chains the
+# Chains per row block of a step. A block keeps each BLAS product small
+# enough that OpenBLAS runs it on the calling thread (on 1e5 chains the
 # threaded products burnt a second core for no wall-clock gain) and keeps
 # the block's scratch arrays in cache.
 BLOCK = 4096
@@ -238,105 +122,195 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-class _Barrier1D:
-    """d = 1: H is the scalar h = sum_i a_i^2 / s_i^2."""
+def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> partial:
+    """A call that sets out to the sum over k of a[..., k, :] * b[k, :]. A
+    sum of one term is a plain product: faster than einsum, same bits."""
+    if len(b) == 1:
+        return partial(np.multiply, a[..., 0, :], b[0], out=out)
+    return partial(np.einsum, "...kn,kn->...n", a, b, out=out)
 
-    def __init__(self, A: np.ndarray):
-        self.coef = (A[:, 0] ** 2,)
+
+def _scratch(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading elements of a flat buffer as a C-contiguous array."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+class _Barrier:
+    """One row block of k chains for any d: their barrier data, and the
+    algebra on it, vectorized over the chains (structure of arrays).
+
+    ``state`` holds the barrier data at the chain points and ``prop`` at
+    the proposals, one row per number: log det H; H packed, its lower
+    triangle taken column by column, so that column j from the diagonal
+    down is one slice of rows; and for d >= 3 the dense
+    (d, d, k) Cholesky factor L, of which only the lower triangle is used.
+    An accepted move is one masked copy from ``prop`` to ``state``.
+
+    Each entry of H is one ``(1/S**2) @ (a_i * a_j)`` product. ``factor``
+    builds L column by column, each column one sum over the columns before
+    it, and log det H is the sum of the logs of the pivots, so for d = 1 it
+    is log(h) itself. A step runs one factorization. For d >= 3, log det
+    H(y) takes the pivots of H(y), whose factor is kept as the chain's L
+    when the move is accepted. For d <= 2, log det H has a closed form, and
+    H(x) is factored into scratch when the proposal is drawn: that costs
+    less than copying a kept factor on every accepted move.
+
+    Every view a step works on is made here, once: numpy makes a new view
+    object on every indexing, and on a small block that costs more than
+    the arithmetic.
+    """
+
+    def __init__(self, walk: "_Walk", sl: slice, A: np.ndarray, S0: np.ndarray):
+        k, d = sl.stop - sl.start, walk.d
+        lower = [(i, j) for j in range(d) for i in range(j, d)]
+        rows, cols = (np.array(ix) for ix in zip(*lower))
+        self.coef = np.ascontiguousarray((A[:, rows] * A[:, cols]).T)[:, :, None]
+        starts = np.cumsum([0] + [d - j for j in range(d)])
+        column = [slice(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
+        E, self.keep = len(lower), d > 2
+        size = 1 + E + (d * d if self.keep else 0)
+
+        self.state, self.prop = np.zeros((size, k)), np.zeros((size, k))
+        self.ld, self.ldy = self.state[0], self.prop[0]
+        H, Hy = self.state[1 : 1 + E], self.prop[1 : 1 + E]
+        self.Hx_rows, self.Hy_rows, self.Hy3 = tuple(H), tuple(Hy), Hy[:, :, None]
+
+        # per-chain arrays of the walk, and this block's share of its scratch
+        self.G, self.U, self.Y = walk.G[sl], walk.U[sl], walk.Y[sl]
+        self.x, self.y = list(walk.X[:, sl]), list(walk.Y[sl].T)
+        self.fx, self.fy = walk.fx[sl], walk.fy[sl]
+        self.dq, self.inside = walk.dq[sl], walk.inside[sl]
+        self.S, self.b = walk.S[:k], walk.bB[:k]
+        self.flags, self.accept = walk.flags[:k], walk.accept[:k]
+        self.moved = _scratch(walk.movedbuf, size, k)  # accept, once per state row
+        z, v = _scratch(walk.zbuf, d, k), _scratch(walk.vbuf, d, k)
+        t = _scratch(walk.tbuf, max(d, 4), k)
+        vv = _scratch(walk.vvbuf, E, k)
+        self.z, self.zs, self.vs, self.t = z, list(z), list(v), list(t)
+        self.logs = t[1:d]  # log pivots 1..d-1
+
+        if self.keep:  # factor H(y), kept as L on accept
+            L, Ly = (a[1 + E :].reshape(d, d, k) for a in (self.state, self.prop))
+            self.factor_y = self._factor_plan(column, Hy, Ly, t)
+        else:  # factor H(x) into scratch
+            L = _scratch(walk.Lbuf, d, d, k)
+            self.factor_x = self._factor_plan(column, H, L, t)
+        self.solve = [  # L^T z = g by back substitution
+            (
+                _dot(L[j + 1 :, j], z[j + 1 :], out=z[j]) if j + 1 < d else None,
+                self.G[:, j], z[j], L[j, j],
+            )
+            for j in reversed(range(d))
+        ]
+        self.outer = [  # v_i v_j, i >= j; a lone diagonal entry is a square
+            partial(np.multiply, v[j:], v[j], out=vv[col])
+            if j + 1 < d
+            else partial(np.square, v[j], out=vv[col][0])
+            for j, col in enumerate(column)
+        ]
+        self.vv = vv
+        self.weights = np.where(rows == cols, 1.0, 2.0)[:, None] if d > 1 else None
+        self.qx = _dot(H, vv, out=t[0])
+        self.qy = _dot(Hy, vv, out=self.dq)
+
+        # the barrier data at the starting points
+        np.square(S0, out=self.S)
+        np.divide(1.0, self.S, out=self.S)
+        self.at_proposals()
+        self.state[...] = self.prop
 
     @staticmethod
-    def logdet(H, out, tmp):
-        return np.log(H[0], out=out)
+    def _factor_plan(column, H, L, t) -> list[tuple]:
+        plan = []
+        for j, col in enumerate(column):
+            c = t[j : len(column)] if j else H[col]
+            dot = _dot(L[j:, :j], L[j, :j], out=c) if j else None
+            below = L[j + 1 :, j] if j + 1 < len(column) else None
+            plan.append((dot, H[col], c, c[0], c[1:], L[j, j], below))
+        return plan
+
+    def at_proposals(self) -> None:
+        """H(y), log det H(y) and, when kept, the factor of H(y), from
+        W = 1/S**2 in S. H(y) is a stack of matrix-vector products: each
+        entry gets the same BLAS call, and bits, as W @ (a_i * a_j)."""
+        np.matmul(self.S, self.coef, out=self.Hy3)
+        if self.keep:
+            self.factor(self.factor_y)
+        self.logdet()
 
     @staticmethod
-    def sample(H, G, z, tmp):
-        """z = L^{-T} g with L = sqrt(h)."""
-        np.sqrt(H[0], out=tmp[0])
-        np.divide(G[:, 0], tmp[0], out=z[0])
+    def factor(plan) -> None:
+        """H = L L^T, leaving pivot j >= 1 (L[j, j]**2 before the square
+        root) in t[j]. A pivot that is not positive gives a nan factor,
+        which the Metropolis test rejects."""
+        for dot, h, c, pivot, rest, ljj, below in plan:
+            if dot:
+                dot()
+                np.subtract(h, c, out=c)
+            np.sqrt(pivot, out=ljj)
+            if below is not None:
+                np.divide(rest, ljj, out=below)
 
-    @staticmethod
-    def dquad(Hx, Hy, V, out, tmp):
-        """out = v^T H(y) v - v^T H(x) v for v = y - x."""
-        v2 = np.square(V[0], out=tmp[0])
-        qx = np.multiply(Hx[0], v2, out=tmp[1])
-        np.multiply(Hy[0], v2, out=out)
-        return np.subtract(out, qx, out=out)
+    def logdet(self) -> None:
+        """log det H(y) from the pivots ``factor`` left behind."""
+        np.log(self.Hy_rows[0], out=self.ldy)
+        if len(self.logs):
+            np.log(self.logs, out=self.logs)
+            self.ldy += np.sum(self.logs, axis=0, out=self.t[0])
+
+    def sample(self) -> None:
+        """z with L^T z = g, for the rows g of G and the factor L of H(x)."""
+        if not self.keep:
+            self.factor(self.factor_x)
+        for dot, g, z, ljj in self.solve:
+            if dot:
+                dot()
+                np.subtract(g, z, out=z)
+                np.divide(z, ljj, out=z)
+            else:
+                np.divide(g, ljj, out=z)
+
+    def dquad(self) -> None:
+        """dq = v^T H(y) v - v^T H(x) v for v = y - x."""
+        for product in self.outer:
+            product()
+        if self.weights is not None:
+            self.vv *= self.weights  # off-diagonal terms count twice
+        qx = self.qx()
+        self.qy()
+        np.subtract(self.dq, qx, out=self.dq)
 
 
-class _Barrier2D:
-    """d = 2: H = [[h11, h12], [h12, h22]] with a closed-form Cholesky factor."""
+class _Barrier2D(_Barrier):
+    """d = 2 keeps the closed forms log(h11 h22 - h12^2) and the quadratic
+    form summed left to right, which the d = 2 walk's output depends on bit
+    for bit."""
 
-    def __init__(self, A: np.ndarray):
-        self.coef = (A[:, 0] ** 2, A[:, 0] * A[:, 1], A[:, 1] ** 2)
+    def logdet(self):
+        h11, h12, h22 = self.Hy_rows
+        np.multiply(h11, h22, out=self.ldy)
+        self.ldy -= np.square(h12, out=self.t[0])
+        np.log(self.ldy, out=self.ldy)
 
-    @staticmethod
-    def logdet(H, out, tmp):
-        h11, h12, h22 = H
-        np.multiply(h11, h22, out=out)
-        out -= np.square(h12, out=tmp[0])
-        return np.log(out, out=out)
-
-    @staticmethod
-    def sample(H, G, z, tmp):
-        """Solve L^T z = g for the Cholesky factor L of H."""
-        h11, h12, h22 = H
-        l11 = np.sqrt(h11, out=tmp[0])
-        l21 = np.divide(h12, l11, out=tmp[1])
-        l22 = np.square(l21, out=tmp[2])
-        np.subtract(h22, l22, out=l22)
-        np.sqrt(l22, out=l22)
-        z1, z2 = z
-        np.divide(G[:, 1], l22, out=z2)
-        np.multiply(l21, z2, out=z1)
-        np.subtract(G[:, 0], z1, out=z1)
-        np.divide(z1, l11, out=z1)
-
-    @staticmethod
-    def _quad(H, V, v00, v11, out, tmp):
+    def _quad(self, H, v00, v11, out, tmp):
         # h11 v0^2 + 2 h12 v0 v1 + h22 v1^2, summed left to right
         h11, h12, h22 = H
+        v0, v1 = self.vs
         np.multiply(h11, v00, out=out)
         cross = np.multiply(h12, 2.0, out=tmp)
-        cross *= V[0]
-        cross *= V[1]
+        cross *= v0
+        cross *= v1
         out += cross
         out += np.multiply(h22, v11, out=tmp)
         return out
 
-    @classmethod
-    def dquad(cls, Hx, Hy, V, out, tmp):
-        """out = v^T H(y) v - v^T H(x) v for v = y - x."""
-        v00 = np.square(V[0], out=tmp[0])
-        v11 = np.square(V[1], out=tmp[1])
-        qx = cls._quad(Hx, V, v00, v11, tmp[2], tmp[3])
-        cls._quad(Hy, V, v00, v11, out, tmp[3])
-        return np.subtract(out, qx, out=out)
-
-
-class _BarrierND:
-    def __init__(self, A: np.ndarray):
-        self.A = A
-
-    def compute(self, S: np.ndarray):
-        W = 1.0 / S**2  # (n, m)
-        H = np.einsum("nm,mi,mj->nij", W, self.A, self.A, optimize=True)
-        L = np.linalg.cholesky(H)
-        return (H, L)
-
-    def logdet(self, rep) -> np.ndarray:
-        return 2.0 * np.sum(np.log(np.diagonal(rep[1], axis1=1, axis2=2)), axis=1)
-
-    def sample(self, rep, G: np.ndarray) -> np.ndarray:
-        Lt = np.transpose(rep[1], (0, 2, 1))
-        return np.linalg.solve(Lt, G[..., None])[..., 0]
-
-    def quad(self, rep, V: np.ndarray) -> np.ndarray:
-        return np.einsum("ni,nij,nj->n", V, rep[0], V, optimize=True)
-
-    @staticmethod
-    def where(mask, new, old):
-        m = mask[:, None, None]
-        return tuple(np.where(m, n, o) for n, o in zip(new, old))
+    def dquad(self):
+        t0, t1, t2, t3 = self.t
+        v00 = np.square(self.vs[0], out=t0)
+        v11 = np.square(self.vs[1], out=t1)
+        qx = self._quad(self.Hx_rows, v00, v11, t2, t3)
+        self._quad(self.Hy_rows, v00, v11, self.dq, t3)
+        np.subtract(self.dq, qx, out=self.dq)
 
 
 def run_chains_batch(
@@ -364,41 +338,16 @@ def run_chains_batch(
     S = P.b - X @ P.A.T
     if np.any(S <= 0):
         raise ValueError("all chains must start strictly inside the polytope")
-    if P.d <= 2:
-        return _LowDimWalk(P, f, cfg, X, S).run(rng)
-    return _run_nd(P, f, cfg, X, S, rng)
+    return _Walk(P, f, cfg, X, S).run(rng)
 
 
-class _Block:
-    """Views of one row block: its slice of every per-chain array, and the
-    leading rows of the shared per-block scratch."""
-
-    def __init__(self, walk: "_LowDimWalk", sl: slice):
-        k = sl.stop - sl.start
-        self.G, self.U, self.Y = walk.G[sl], walk.U[sl], walk.Y[sl]
-        self.x = [a[sl] for a in walk.x]
-        self.Ycols = [walk.Y[sl, j] for j in range(walk.d)]
-        self.H = [a[sl] for a in walk.H]
-        self.Hy = [a[sl] for a in walk.Hy]
-        self.ld, self.ldy = walk.ld[sl], walk.ldy[sl]
-        self.fx, self.fy = walk.fx[sl], walk.fy[sl]
-        self.dq, self.inside = walk.dq[sl], walk.inside[sl]
-        self.S, self.b, self.flags = walk.S[:k], walk.bB[:k], walk.flags[:k]
-        self.z = [a[:k] for a in walk.z]
-        self.v = [a[:k] for a in walk.v]
-        self.tmp = [a[:k] for a in walk.tmp]
-        self.accept = walk.accept[:k]
-
-
-class _LowDimWalk:
-    """The d <= 2 lockstep walk over preallocated buffers.
+class _Walk:
+    """The lockstep walk, in row blocks over preallocated buffers.
 
     A step draws G and U for the whole batch first, so the random stream does
     not depend on the blocking. Every f evaluation covers the whole batch,
     exactly as an unblocked step makes it, and a blocked BLAS product gets a
     one-row block only when the batch has one row (see ``_row_blocks``).
-    Points and accept counts are therefore bit-identical to those of the
-    unblocked step.
 
     Slacks of proposals that leave K are not patched: their Hessian entries
     are junk (inf or nan), and the accept mask, which requires an interior
@@ -408,38 +357,35 @@ class _LowDimWalk:
     def __init__(self, P: Polytope, f: LogDensity, cfg: WalkConfig, X: np.ndarray, S: np.ndarray):
         n, d = X.shape
         self.n, self.d, self.f, self.T = n, d, f, cfg.T
-        self.ops = _Barrier1D(P.A) if d == 1 else _Barrier2D(P.A)
         self.AT = P.A.T
         self.scale = cfg.eta / math.sqrt(d)
         self.qcoef = d / (2.0 * cfg.eta**2)
 
-        # chain state: coordinates, Hessian entries, log det H, f
-        W = 1.0 / S**2
-        self.H = [W @ c for c in self.ops.coef]
-        self.ld = self.ops.logdet(self.H, np.empty(n), [np.empty(n)])
+        # per chain: coordinates, f, the step's draws and proposals
+        self.X = X.T.copy()
         self.fx = f.eval_many(X)
-        self.x = [X[:, j].copy() for j in range(d)]
-
-        # the same at the proposals, plus the step's draws
         self.G = np.empty((n, d))
         self.U = np.empty(n)
         self.Y = np.empty((n, d))
-        self.Hy = [np.empty(n) for _ in self.H]
-        self.ldy = np.empty(n)
         self.fy = np.empty(n)
         self.dq = np.empty(n)  # qcoef (v^T H(y) v - v^T H(x) v)
         self.inside = np.empty(n, dtype=bool)
 
+        # scratch shared by the blocks
         slices = _row_blocks(n)
         rows = max((sl.stop - sl.start for sl in slices), default=0)
+        E = d * (d + 1) // 2
         self.S = np.empty((rows, P.m))
         self.bB = np.tile(P.b, (rows, 1))  # b - S broadcast over short rows is slow
         self.flags = np.empty((rows, P.m), dtype=bool)
-        self.z = [np.empty(rows) for _ in range(d)]
-        self.v = [np.empty(rows) for _ in range(d)]
-        self.tmp = [np.empty(rows) for _ in range(4)]
         self.accept = np.empty(rows, dtype=bool)
-        self.blocks = [_Block(self, sl) for sl in slices]
+        self.movedbuf = np.empty((1 + E + d * d) * rows, dtype=bool)
+        self.Lbuf = np.zeros(d * d * rows)
+        self.zbuf, self.vbuf = np.empty(d * rows), np.empty(d * rows)
+        self.tbuf, self.vvbuf = np.empty(max(d, 4) * rows), np.empty(E * rows)
+        kind = _Barrier2D if d == 2 else _Barrier
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            self.blocks = [kind(self, sl, P.A, S[sl]) for sl in slices]
 
     def run(self, rng: np.random.Generator) -> tuple[np.ndarray, int]:
         accepts = 0
@@ -455,16 +401,16 @@ class _LowDimWalk:
                 else:
                     self.fy[self.inside] = self.f.eval_many(np.compress(self.inside, self.Y, axis=0))
                 accepts += sum(self._accept(blk) for blk in self.blocks)
-        return np.stack(self.x, axis=1), int(accepts)
+        return self.X.T.copy(), int(accepts)
 
-    def _propose(self, blk: _Block) -> int:
-        """Proposal, its Hessian and log det, and the quadratic-form term of
+    def _propose(self, blk: _Barrier) -> int:
+        """Proposal, its barrier data, and the quadratic-form term of
         log alpha for one block; returns the number of interior proposals."""
-        ops, z, t, S = self.ops, blk.z, blk.tmp, blk.S
-        ops.sample(blk.H, blk.G, z, t)
-        for x, zj, y in zip(blk.x, z, blk.Ycols):
-            zj *= self.scale
-            np.add(x, zj, out=y)
+        S = blk.S
+        blk.sample()
+        blk.z *= self.scale
+        for x, z, y in zip(blk.x, blk.zs, blk.y):
+            np.add(x, z, out=y)
         np.matmul(blk.Y, self.AT, out=S)
         np.subtract(blk.b, S, out=S)
         np.greater(S, 0.0, out=blk.flags)
@@ -472,21 +418,19 @@ class _LowDimWalk:
 
         np.square(S, out=S)
         np.divide(1.0, S, out=S)
-        for c, h in zip(ops.coef, blk.Hy):
-            np.matmul(S, c, out=h)
-        ops.logdet(blk.Hy, blk.ldy, t)
-        for x, y, v in zip(blk.x, blk.Ycols, blk.v):
+        blk.at_proposals()
+        for x, y, v in zip(blk.x, blk.y, blk.vs):
             np.subtract(y, x, out=v)
-        ops.dquad(blk.H, blk.Hy, blk.v, blk.dq, t)
+        blk.dquad()
         blk.dq *= self.qcoef
         return n_in
 
     @staticmethod
-    def _accept(blk: _Block) -> int:
+    def _accept(blk: _Barrier) -> int:
         """Metropolis test for one block; moves accepted chains in place and
         returns their number."""
-        la = np.subtract(blk.fx, blk.fy, out=blk.tmp[0])
-        half = np.subtract(blk.ldy, blk.ld, out=blk.tmp[1])
+        la = np.subtract(blk.fx, blk.fy, out=blk.t[0])
+        half = np.subtract(blk.ldy, blk.ld, out=blk.t[1])
         half *= 0.5
         la += half
         la -= blk.dq
@@ -496,62 +440,13 @@ class _LowDimWalk:
         accept &= blk.inside
         n_acc = np.count_nonzero(accept)
         if n_acc:
-            for x, y in zip(blk.x, blk.Ycols):
+            for x, y in zip(blk.x, blk.y):
                 np.putmask(x, accept, y)
             np.putmask(blk.fx, accept, blk.fy)
-            np.putmask(blk.ld, accept, blk.ldy)
-            for h, hy in zip(blk.H, blk.Hy):
-                np.putmask(h, accept, hy)
+            # every barrier row in one masked copy, not one numpy call each
+            np.copyto(blk.moved, accept)
+            np.putmask(blk.state, blk.moved, blk.prop)
         return n_acc
-
-
-def _run_nd(P, f, cfg, X, S, rng):
-    """The d >= 3 step: batched np.linalg factorizations over all chains."""
-    n, d = X.shape
-    A, b = P.A, P.b
-    ops = _BarrierND(A)
-    rep = ops.compute(S)
-    logdet_x = ops.logdet(rep)
-    fx = f.eval_many(X)
-    scale = cfg.eta / math.sqrt(d)
-    qcoef = d / (2.0 * cfg.eta**2)
-    accepts = 0
-
-    for _ in range(cfg.T):
-        G = rng.standard_normal((n, d))
-        U = rng.random(n)
-        Y = X + scale * ops.sample(rep, G)
-
-        SY = b - Y @ A.T
-        interior = np.all(SY > 0, axis=1)
-        if not np.any(interior):
-            continue
-
-        # Hessian pieces at the proposal; slacks of rejected rows are
-        # patched to 1 so the vectorized math stays finite, then masked out.
-        SY_safe = np.where(interior[:, None], SY, 1.0)
-        rep_y = ops.compute(SY_safe)
-        logdet_y = ops.logdet(rep_y)
-
-        fy = np.array(fx)  # placeholder values for non-interior proposals
-        fy[interior] = f.eval_many(Y[interior])
-
-        diff = Y - X
-        q_x = ops.quad(rep, diff)     # (y-x)^T H(x) (y-x)
-        q_y = ops.quad(rep_y, diff)   # (x-y)^T H(y) (x-y); sign squares away
-
-        log_alpha = (fx - fy) + 0.5 * (logdet_y - logdet_x) - qcoef * (q_y - q_x)
-        accept = interior & (U < np.exp(np.minimum(log_alpha, 0.0)))
-        if not np.any(accept):
-            continue
-
-        accepts += int(np.count_nonzero(accept))
-        X = np.where(accept[:, None], Y, X)
-        fx = np.where(accept, fy, fx)
-        logdet_x = np.where(accept, logdet_y, logdet_x)
-        rep = ops.where(accept, rep_y, rep)
-
-    return X, accepts
 
 
 def tune_eta(

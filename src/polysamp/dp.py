@@ -30,12 +30,10 @@ from .geometry import Polytope, contains, normalize, parse_polytope_lines
 
 __all__ = [
     "ErmInstance",
-    "ErmTelemetry",
     "ErmBatch",
     "load_erm_instance",
     "total_loss_density",
     "halting_threshold",
-    "private_erm",
     "private_erm_batch",
     "enumerate_vertices",
     "utility_gap",
@@ -162,25 +160,10 @@ FALLBACK_BALL = "ball"
 FALLBACK_CENTER = "center"
 
 
-@dataclass(frozen=True)
-class ErmTelemetry:
-    """Per-run accounting: converter iteration count, which fallback fired
-    (if any), oracle calls consumed, the iteration cap, walk length, and
-    the step size used."""
-
-    tau: int
-    fallback: str
-    oracle_calls: int
-    t_halt: int
-    params: converter.ConverterParams
-    T: int
-    eta: float
-
-
 @dataclass
 class ErmBatch:
-    """Vectorized private_erm results: thetas in original coordinates plus
-    aligned telemetry arrays."""
+    """Results of private ERM runs: thetas in original coordinates, aligned
+    per-run telemetry arrays, and the settings the runs shared."""
 
     thetas: np.ndarray
     tau: np.ndarray
@@ -210,31 +193,6 @@ def _mechanism_setup(inst: ErmInstance, c_mix: float, eta, rng):
     return Pn, translation, g, params, T, float(eta)
 
 
-def private_erm(
-    inst: ErmInstance,
-    rng: np.random.Generator,
-    c_mix: float = 1.0,
-    eta: float | None = None,
-) -> tuple[np.ndarray, ErmTelemetry]:
-    """One private ERM draw: theta-hat in original coordinates plus telemetry.
-
-    c_mix defaults to 1 here (unlike the desk-scale sampling commands):
-    the mechanism's scaled density is so flat that the full walk length is
-    cheap, and privacy arguments want the real one.
-    """
-    batch = private_erm_batch(inst, rng, 1, c_mix=c_mix, eta=eta)
-    telemetry = ErmTelemetry(
-        tau=int(batch.tau[0]),
-        fallback=str(batch.fallback[0]),
-        oracle_calls=int(batch.oracle_calls[0]),
-        t_halt=batch.t_halt,
-        params=batch.params,
-        T=batch.T,
-        eta=batch.eta,
-    )
-    return batch.thetas[0], telemetry
-
-
 def private_erm_batch(
     inst: ErmInstance,
     rng: np.random.Generator,
@@ -242,7 +200,12 @@ def private_erm_batch(
     c_mix: float = 1.0,
     eta: float | None = None,
 ) -> ErmBatch:
-    """n_runs independent private ERM draws sharing one walk configuration."""
+    """n_runs independent private ERM draws sharing one walk configuration.
+
+    c_mix defaults to 1 here (unlike the desk-scale sampling commands):
+    the mechanism's scaled density is so flat that the full walk length is
+    cheap, and privacy arguments want the real one.
+    """
     Pn, translation, g, params, T, eta = _mechanism_setup(inst, c_mix, eta, rng)
     t_halt = halting_threshold(inst)
     capped = t_halt < params.tau_max

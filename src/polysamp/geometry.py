@@ -1,4 +1,4 @@
-"""Polytope geometry: membership, margins, the stretch map, ball sampling.
+"""Polytope geometry: membership, margins, ball sampling.
 
 A polytope is the closed set K = {x : A x <= b} together with a certified
 inscribed ball B(center, r) (verified at construction) and a declared
@@ -17,8 +17,6 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, ContractViolation
@@ -31,23 +29,6 @@ ROW_NORM_FLOOR = 1e-12
 # Relative slack for the outer-radius spot check. Points are produced by
 # arithmetic that can land a whisker outside the closed ball.
 _OUTER_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Closed Euclidean ball."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius < 0:
-            raise ValueError("ball radius must be nonnegative")
-
-    def contains(self, point) -> bool:
-        point = np.asarray(point, dtype=float)
-        return bool(np.linalg.norm(point - self.center) <= self.radius)
 
 
 class Polytope:
@@ -197,18 +178,6 @@ def normalize(P: Polytope) -> tuple[Polytope, np.ndarray]:
     translation = P.center.copy()
     shifted = Polytope(P.A, P.b - P.A @ P.center, np.zeros(P.d), P.r, P.R)
     return shifted, translation
-
-
-def stretch(Z, delta: float) -> np.ndarray:
-    """Apply the stretch map Z -> Z / (1 - delta).
-
-    The map carries the shrunk body (1-delta)K back onto K; it is how the
-    converter reaches the boundary region that ball smoothing alone cannot.
-    delta = 0 is the identity (allowed; useful in degenerate pipelines).
-    """
-    if not (0.0 <= delta <= 0.5):
-        raise ValueError(f"stretch parameter must lie in [0, 0.5], got {delta}")
-    return np.asarray(Z, dtype=float) / (1.0 - delta)
 
 
 def sample_unit_ball(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -30,8 +30,6 @@ __all__ = [
     "CellGrid",
     "ExactSampler",
     "box_bounds",
-    "exact_sample",
-    "exact_sample_batch",
     "cell_masses",
     "histogram_counts",
     "sup_log_ratio",
@@ -155,16 +153,6 @@ class ExactSampler:
             out[got : got + taken.shape[0]] = taken
             got += taken.shape[0]
         return out
-
-
-def exact_sample(P: Polytope, f: LogDensity, rng: np.random.Generator) -> np.ndarray:
-    """One exact draw (builds a fresh sampler; loops should use ExactSampler)."""
-    return ExactSampler(P, f, rng).draw(rng, 1)[0]
-
-
-def exact_sample_batch(P: Polytope, f: LogDensity, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n exact draws (convenience wrapper around ExactSampler)."""
-    return ExactSampler(P, f, rng).draw(rng, n)
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +368,3 @@ def tv_estimate(samples, grid: CellGrid) -> float:
     n = np.atleast_2d(pts).shape[0]
     freq = counts / n
     return float(0.5 * np.sum(np.abs(freq - grid.masses)))
-
-
-def grid_to_csv_rows(grid: CellGrid, counts: np.ndarray | None = None):
-    """Yield (cell, mid coordinates..., mass[, count]) rows for CSV export."""
-    centers = grid.cell_centers()
-    for c in range(grid.n_cells):
-        row = [c, *centers[c].tolist(), float(grid.masses[c])]
-        if counts is not None:
-            row.append(int(counts[c]))
-        yield row

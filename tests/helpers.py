@@ -4,18 +4,21 @@ The schedule evaluators here recompute the parameter formulas with
 50-digit Decimal arithmetic, sharing no code with the package (that is the
 point: they catch transcription slips in the float pipeline). The closed
 forms cover exp(-s theta) on an interval, which is where every d=1
-ground-truth comparison comes from.
+ground-truth comparison comes from. The one-chain Dikin walk and the
+former production kernels further down are the references the package's
+vectorized kernels are checked against.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from decimal import ROUND_CEILING, Decimal, getcontext
 
 import numpy as np
 
-from polysamp import dikin, oracle
-from polysamp.geometry import Polytope
+from polysamp import converter, dikin, oracle
+from polysamp.geometry import Polytope, margin, sample_unit_ball
 
 getcontext().prec = 50
 
@@ -38,6 +41,18 @@ def dec_schedule(eps: float, L: float, r: float, R: float, d: int) -> dict:
         "delta": float(delta),
         "delta_log": float(delta_log),
     }
+
+
+def check_settings(params: converter.ConverterParams, L: float, r: float, R: float, d: int) -> bool:
+    """Do the three schedule constraints hold for this geometry?
+
+    ``converter.compute_params`` satisfies them by construction (with
+    equality, so the comparisons are non-strict).
+    """
+    ok_tau = params.tau_max >= 5.0 * d * math.log(R / r) + 5.0 * L * R + params.eps
+    ok_delta = params.delta <= params.eps / (512.0 * params.tau_max * max(float(d), L * R))
+    ok_dlog = params.delta_log <= math.log(params.eps / 64.0) - d * math.log(R / (params.delta * r)) - L * R
+    return bool(ok_tau and ok_delta and ok_dlog and 0.0 < params.eps <= 1.0)
 
 
 def dec_mixing(m: int, d: int, L: float, r: float, R: float, delta_log: float, c_mix: float) -> int:
@@ -159,6 +174,115 @@ def uniform_in_polytope(P: Polytope, rng: np.random.Generator, n: int) -> np.nda
 
 
 # ---------------------------------------------------------------------------
+# Reference one-chain walk
+# ---------------------------------------------------------------------------
+#
+# The Metropolized Dikin walk one step at a time, straight from its
+# definition, recomputing every Hessian from scratch. ``dikin.run_chains_batch``
+# consumes the random stream draw for draw like ``run_chain_state``, so a
+# one-chain batch must retrace its trajectory.
+
+
+@dataclass
+class ChainState:
+    """Current point of one chain plus its cached barrier data."""
+
+    x: np.ndarray
+    H: np.ndarray
+    logdetH: float
+    steps: int = 0
+    accepts: int = 0
+
+
+def barrier_hessian(P: Polytope, x) -> tuple[np.ndarray, float]:
+    """Log-barrier Hessian and its log determinant at an interior point.
+
+    Raises ValueError when any slack b_i - a_i . x is nonpositive; callers
+    must keep the chain strictly inside the polytope.
+    """
+    x = np.ravel(np.asarray(x, dtype=float))
+    s = P.b - P.A @ x
+    if np.any(s <= 0):
+        raise ValueError("barrier Hessian requested at a non-interior point")
+    scaled = P.A / s[:, None]
+    H = scaled.T @ scaled
+    # Cholesky also certifies positive definiteness.
+    L = np.linalg.cholesky(H)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+    return H, logdet
+
+
+def init_chain(P: Polytope, x0) -> ChainState:
+    x0 = np.ravel(np.asarray(x0, dtype=float)).copy()
+    if margin(P, x0) <= 0:
+        raise ValueError("chain must start strictly inside the polytope")
+    H, logdet = barrier_hessian(P, x0)
+    return ChainState(x=x0, H=H, logdetH=logdet)
+
+
+def propose(state: ChainState, cfg: dikin.WalkConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw y = x + (eta/sqrt(d)) z with z ~ N(0, H(x)^{-1})."""
+    d = state.x.size
+    g = rng.standard_normal(d)
+    L = np.linalg.cholesky(state.H)
+    z = np.linalg.solve(L.T, g)
+    return state.x + (cfg.eta / math.sqrt(d)) * z
+
+
+def log_proposal_density(P: Polytope, u, v, cfg: dikin.WalkConfig) -> float:
+    """log q(u -> v) up to the constant that cancels in Metropolis ratios:
+    0.5 * logdet H(u) - (d / (2 eta^2)) (v-u)^T H(u) (v-u)."""
+    u = np.ravel(np.asarray(u, dtype=float))
+    v = np.ravel(np.asarray(v, dtype=float))
+    H, logdet = barrier_hessian(P, u)
+    diff = v - u
+    d = u.size
+    return 0.5 * logdet - (d / (2.0 * cfg.eta**2)) * float(diff @ H @ diff)
+
+
+def accept_prob(P: Polytope, f, x, y, cfg: dikin.WalkConfig) -> float:
+    """Metropolis-Hastings acceptance probability for the move x -> y.
+
+    Zero for proposals outside the open polytope (those are rejections, not
+    errors); otherwise min(1, e^{f(x)-f(y)} q(y->x)/q(x->y)).
+    """
+    x = np.ravel(np.asarray(x, dtype=float))
+    y = np.ravel(np.asarray(y, dtype=float))
+    if margin(P, y) <= 0:
+        return 0.0
+    log_ratio = (f(x) - f(y)) + log_proposal_density(P, y, x, cfg) - log_proposal_density(P, x, y, cfg)
+    return float(min(1.0, math.exp(min(log_ratio, 0.0))))
+
+
+def run_chain(P: Polytope, f, cfg: dikin.WalkConfig, x0, rng: np.random.Generator) -> np.ndarray:
+    """Run T Metropolis steps from x0 and return the final point."""
+    state = run_chain_state(P, f, cfg, x0, rng)
+    return state.x
+
+
+def run_chain_state(P: Polytope, f, cfg: dikin.WalkConfig, x0, rng: np.random.Generator) -> ChainState:
+    """Like ``run_chain`` but returns the full ChainState (counters included)."""
+    state = init_chain(P, x0)
+    for _ in range(cfg.T):
+        y = propose(state, cfg, rng)
+        alpha = accept_prob(P, f, state.x, y, cfg)
+        state.steps += 1
+        # always consume the coin so the stream position is a function of
+        # the step count alone, matching the batched runner draw for draw
+        u = rng.random()
+        if alpha > 0.0 and u < alpha:
+            state.x = y
+            state.H, state.logdetH = barrier_hessian(P, y)
+            state.accepts += 1
+    return state
+
+
+def warm_start(P: Polytope, rng: np.random.Generator) -> np.ndarray:
+    """Uniform draw from the inscribed ball (the walk's warm start)."""
+    return P.center + P.r * sample_unit_ball(rng, P.d)
+
+
+# ---------------------------------------------------------------------------
 # Reference lockstep walk
 # ---------------------------------------------------------------------------
 #
@@ -222,12 +346,7 @@ class _Barrier2D:
 
 
 def _barrier_ops(A: np.ndarray):
-    d = A.shape[1]
-    if d == 1:
-        return _Barrier1D(A)
-    if d == 2:
-        return _Barrier2D(A)
-    return dikin._BarrierND(A)
+    return _Barrier1D(A) if A.shape[1] == 1 else _Barrier2D(A)
 
 
 def reference_run_chains_batch(

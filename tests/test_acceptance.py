@@ -95,8 +95,8 @@ def test_criterion_02_detailed_balance():
             X = helpers.uniform_in_polytope(P, rng, 112)
             Y = helpers.uniform_in_polytope(P, rng, 112)
             for x, y in zip(X, Y):
-                q_xy = dikin.log_proposal_density(P, x, y, cfg)
-                q_yx = dikin.log_proposal_density(P, y, x, cfg)
+                q_xy = helpers.log_proposal_density(P, x, y, cfg)
+                q_yx = helpers.log_proposal_density(P, y, x, cfg)
                 s = f(x) - f(y) + q_yx - q_xy
                 lhs = -f(x) + q_xy + min(0.0, s)
                 rhs = -f(y) + q_yx + min(0.0, -s)
@@ -196,7 +196,7 @@ def test_criterion_07_parameter_schedule():
         r = rng.uniform(0.1, 3.0)
         R = r * rng.uniform(1.0, 10.0)
         d = int(rng.integers(1, 7))
-        if not converter.check_settings(converter.compute_params(eps, L, r, R, d), L, r, R, d):
+        if not helpers.check_settings(converter.compute_params(eps, L, r, R, d), L, r, R, d):
             bad += 1
     report(
         7,
@@ -277,7 +277,7 @@ def test_criterion_10_oracle_self_consistency(erm_file):
     ok = True
     for idx, (name, P, f, bins) in enumerate(configs):
         rng = np.random.default_rng(3500 + idx)
-        X = oracle.exact_sample_batch(P, f, rng, 30_000)
+        X = oracle.ExactSampler(P, f, rng).draw(rng, 30_000)
         grid = oracle.cell_masses(P, f, bins)
         res = oracle.sup_log_ratio(X, grid)
         if res.max_z() > worst_z:

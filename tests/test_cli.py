@@ -95,6 +95,25 @@ def test_params_hash_round_trips_into_sample(seg_file, capsys):
     assert comments["params_hash"] == want
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("params", "--out", "params.txt"), ("params", "--workers", "2"), ("erm", "--workers", "3")],
+)
+def test_flags_a_command_would_ignore_are_rejected(
+    command, flag, value, square_file, erm_file, tmp_path, capsys, monkeypatch
+):
+    # params only prints and erm runs no chunks: these flags would do
+    # nothing, so argparse refuses them (exit 2) before any work is done
+    monkeypatch.chdir(tmp_path)
+    polytope = erm_file if command == "erm" else square_file
+    argv = [command, "--polytope", str(polytope)] + (["--eps", "0.5"] if command == "params" else [])
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({square_file.name, erm_file.name})
+
+
 # ---------------------------------------------------------------------------
 # sample
 # ---------------------------------------------------------------------------

@@ -9,18 +9,16 @@ from hypothesis import strategies as st
 
 import helpers
 from polysamp import converter
+from helpers import check_settings
 from polysamp.converter import (
-    ConverterOutput,
     ConverterParams,
     SampleBatch,
-    check_settings,
     compute_params,
-    convert,
     convert_batch,
     tau_statistics,
 )
 from polysamp.errors import ContractViolation
-from polysamp.geometry import box, contains, contains_many
+from polysamp.geometry import box, contains_many
 
 
 # ---------------------------------------------------------------------------
@@ -118,27 +116,33 @@ def test_schedule_always_satisfies_constraints(eps, L, r, ratio, d):
 
 
 # ---------------------------------------------------------------------------
-# Rejection loop (scalar)
+# Rejection loop
 # ---------------------------------------------------------------------------
 
 
+def _repeat(point):
+    """A batch oracle whose every draw is ``point``."""
+    return lambda k, rng: np.tile(point, (k, 1))
+
+
 def test_identity_pipeline_passes_point_through():
-    # delta = 0 makes both the smoothing and the stretch the identity map,
-    # and halt_prob = 1 removes the coin: the oracle draw comes back bitwise.
+    # delta = 0 makes both the smoothing and the stretch the identity map:
+    # every run that halts returns the oracle draw bitwise, whatever the coin
     P = helpers.square()
     point = np.array([0.25, -0.5])
     params = ConverterParams(eps=0.5, delta=0.0, tau_max=3, delta_log=-30.0)
-    out = convert(P, lambda: point, params, np.random.default_rng(0), halt_prob=1.0)
-    assert out.tau == 1
-    assert not out.fallback
-    assert out.oracle_calls == 1
-    assert np.array_equal(out.point, point)
+    batch = convert_batch(P, _repeat(point), params, np.random.default_rng(0), n=64)
+    halted = ~batch.fallback
+    assert halted.sum() > 48  # each run misses three coins with chance 1/8
+    assert np.all(batch.points[halted] == point)
+    assert np.all(batch.oracle_calls[halted] == batch.tau[halted])
+    assert np.any(batch.tau[halted] == 1) and np.any(batch.tau[halted] > 1)
 
 
 def test_oracle_point_outside_polytope_is_contract_violation(seg):
     params = compute_params(0.5, 1.0, 1.0, 2.0, 1)
     with pytest.raises(ContractViolation, match="outside the polytope"):
-        convert(seg, lambda: np.array([1.5]), params, np.random.default_rng(1))
+        convert_batch(seg, _repeat([1.5]), params, np.random.default_rng(1), n=4)
 
 
 def test_oracle_point_beyond_declared_radius_is_contract_violation():
@@ -147,39 +151,31 @@ def test_oracle_point_beyond_declared_radius_is_contract_violation():
     P = box([-1.0, -1.0], [1.0, 1.0], R=1.1)
     params = compute_params(0.5, 0.0, 1.0, 1.1, 2)
     with pytest.raises(ContractViolation, match="radius"):
-        convert(P, lambda: np.array([0.99, 0.99]), params, np.random.default_rng(2))
+        convert_batch(P, _repeat([0.99, 0.99]), params, np.random.default_rng(2), n=4)
 
 
 def test_forced_fallback_lands_in_inscribed_ball(sq):
+    # a corner draw, pushed outward by the stretch, never lands back in K:
+    # every run exhausts its rounds and falls back to the inscribed ball
     params = compute_params(0.5, 1.0, 1.0, 2.0, 2)
-    rng = np.random.default_rng(3)
-    oracle = lambda: helpers.uniform_in_polytope(sq, rng, 1)[0]
-    out = convert(sq, oracle, params, rng, halt_prob=0.0)
-    assert out.fallback
-    assert out.tau == params.tau_max + 1
-    assert out.oracle_calls == params.tau_max
-    assert np.linalg.norm(out.point - sq.center) <= sq.r + 1e-12
-    assert contains(sq, out.point)
+    batch = convert_batch(sq, _repeat([1.0, 1.0]), params, np.random.default_rng(3), n=50)
+    assert np.all(batch.fallback)
+    assert np.all(batch.tau == params.tau_max + 1)
+    assert np.all(batch.oracle_calls == params.tau_max)
+    assert np.all(np.linalg.norm(batch.points - sq.center, axis=1) <= sq.r + 1e-12)
+    assert np.all(contains_many(sq, batch.points))
 
 
 def test_halting_run_counters(sq):
     params = compute_params(0.5, 0.0, 1.0, 2.0, 2)
-    rng = np.random.default_rng(4)
-    oracle = lambda: helpers.uniform_in_polytope(sq, rng, 1)[0]
-    for _ in range(50):
-        out = convert(sq, oracle, params, rng)
-        if out.fallback:
-            assert out.tau == params.tau_max + 1
-            assert out.oracle_calls == params.tau_max
-        else:
-            assert 1 <= out.tau <= params.tau_max
-            assert out.oracle_calls == out.tau
-            assert contains(sq, out.point)
-
-
-# ---------------------------------------------------------------------------
-# Rejection loop (batch)
-# ---------------------------------------------------------------------------
+    oracle = lambda k, rng: helpers.uniform_in_polytope(sq, rng, k)
+    batch = convert_batch(sq, oracle, params, np.random.default_rng(4), n=50)
+    fb = batch.fallback
+    assert np.all(batch.tau[fb] == params.tau_max + 1)
+    assert np.all(batch.oracle_calls[fb] == params.tau_max)
+    assert np.all((batch.tau[~fb] >= 1) & (batch.tau[~fb] <= params.tau_max))
+    assert np.all(batch.oracle_calls[~fb] == batch.tau[~fb])
+    assert np.all(contains_many(sq, batch.points))
 
 
 def test_batch_oracle_shape_violation(sq):
@@ -222,22 +218,6 @@ def test_batch_deterministic(sq):
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.tau, b.tau)
     assert np.array_equal(a.fallback, b.fallback)
-
-
-def test_batch_outputs_round_trip(sq):
-    params = compute_params(0.5, 0.0, 1.0, 2.0, 2)
-    batch = convert_batch(
-        sq,
-        lambda k, r: helpers.uniform_in_polytope(sq, r, k),
-        params,
-        np.random.default_rng(8),
-        n=16,
-    )
-    outs = batch.outputs()
-    assert len(outs) == 16
-    assert all(isinstance(o, ConverterOutput) for o in outs)
-    assert np.array_equal(outs[3].point, batch.points[3])
-    assert outs[3].tau == batch.tau[3]
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +270,13 @@ def test_tau_statistics_without_eps_skips_pmf():
 
 
 def test_tau_statistics_accepts_outputs_and_batches(sq):
-    outs = [
-        ConverterOutput(np.zeros(2), tau=1, fallback=False, oracle_calls=1),
-        ConverterOutput(np.zeros(2), tau=3, fallback=False, oracle_calls=3),
-    ]
-    assert tau_statistics(outs).mean == pytest.approx(2.0)
+    # convert_batch's output, a batch built by hand, and a bare tau array
+    params = compute_params(0.5, 0.0, 1.0, 2.0, 2)
+    out = convert_batch(
+        sq, lambda k, r: helpers.uniform_in_polytope(sq, r, k), params, np.random.default_rng(8), n=16
+    )
+    assert tau_statistics(out).mean == pytest.approx(out.tau.mean())
+    assert tau_statistics(np.array([1, 3])).mean == pytest.approx(2.0)
     batch = SampleBatch(
         points=np.zeros((3, 2)),
         tau=np.array([1, 2, 3]),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from polysamp import dikin
@@ -11,14 +13,14 @@ from polysamp.pipeline import POOL_STREAM, rng_stream, run_sampling
 
 
 def test_hessian_at_center_of_square(sq):
-    H, logdet = dikin.barrier_hessian(sq, [0.0, 0.0])
+    H, logdet = helpers.barrier_hessian(sq, [0.0, 0.0])
     # each opposing facet pair contributes 1/(1-x)^2 + 1/(1+x)^2 = 2 at 0
     np.testing.assert_allclose(H, 2.0 * np.eye(2), atol=1e-14)
     assert logdet == pytest.approx(math.log(4.0))
 
 
 def test_hessian_off_center_value(sq):
-    H, _ = dikin.barrier_hessian(sq, [0.5, 0.0])
+    H, _ = helpers.barrier_hessian(sq, [0.5, 0.0])
     np.testing.assert_allclose(H, np.diag([40.0 / 9.0, 2.0]), rtol=1e-14)
 
 
@@ -29,25 +31,25 @@ def test_hessian_logdet_against_eigensolver(rng):
         P = helpers.random_polytope(rng, d)
         X = helpers.uniform_in_polytope(P, rng, 10)
         for x in X:
-            H, logdet = dikin.barrier_hessian(P, x)
+            H, logdet = helpers.barrier_hessian(P, x)
             ref = float(np.sum(np.log(np.linalg.eigvalsh(H))))
             assert abs(logdet - ref) <= 1e-8
 
 
 def test_hessian_requires_interior(sq):
     with pytest.raises(ValueError):
-        dikin.barrier_hessian(sq, [1.0, 0.0])
+        helpers.barrier_hessian(sq, [1.0, 0.0])
     with pytest.raises(ValueError):
-        dikin.barrier_hessian(sq, [2.0, 0.0])
+        helpers.barrier_hessian(sq, [2.0, 0.0])
 
 
 def test_proposal_moments(sq):
     rng = np.random.default_rng(7)
     x = np.array([0.3, -0.2])
     cfg = dikin.WalkConfig(eta=0.5)
-    state = dikin.init_chain(sq, x)
-    draws = np.array([dikin.propose(state, cfg, rng) for _ in range(50_000)])
-    H, _ = dikin.barrier_hessian(sq, x)
+    state = helpers.init_chain(sq, x)
+    draws = np.array([helpers.propose(state, cfg, rng) for _ in range(50_000)])
+    H, _ = helpers.barrier_hessian(sq, x)
     target_cov = (cfg.eta**2 / 2.0) * np.linalg.inv(H)
     se = np.sqrt(np.diag(target_cov) / draws.shape[0])
     np.testing.assert_allclose(draws.mean(axis=0), x, atol=3.5 * se.max())
@@ -59,20 +61,20 @@ def test_log_proposal_density_closed_form(sq):
     v = np.array([0.1, -0.2])
     # at the center H = 2I, logdet = log 4
     expected = 0.5 * math.log(4.0) - (2.0 / (2 * 0.4**2)) * (2.0 * v @ v)
-    assert dikin.log_proposal_density(sq, np.zeros(2), v, cfg) == pytest.approx(expected)
+    assert helpers.log_proposal_density(sq, np.zeros(2), v, cfg) == pytest.approx(expected)
 
 
 def test_accept_prob_zero_outside(sq):
     cfg = dikin.WalkConfig(eta=0.5)
-    assert dikin.accept_prob(sq, uniform(), [0.0, 0.0], [1.0, 0.0], cfg) == 0.0
-    assert dikin.accept_prob(sq, uniform(), [0.0, 0.0], [1.5, 0.0], cfg) == 0.0
+    assert helpers.accept_prob(sq, uniform(), [0.0, 0.0], [1.0, 0.0], cfg) == 0.0
+    assert helpers.accept_prob(sq, uniform(), [0.0, 0.0], [1.5, 0.0], cfg) == 0.0
 
 
 def test_accept_prob_symmetric_uniform_is_one(sq):
     # H(x) = H(y) by symmetry, f constant: the ratio is exactly 1
     cfg = dikin.WalkConfig(eta=0.5)
     x = np.array([0.25, 0.1])
-    assert dikin.accept_prob(sq, uniform(), x, -x, cfg) == pytest.approx(1.0)
+    assert helpers.accept_prob(sq, uniform(), x, -x, cfg) == pytest.approx(1.0)
 
 
 def test_accept_prob_matches_manual_ratio(sq):
@@ -83,11 +85,11 @@ def test_accept_prob_matches_manual_ratio(sq):
     log_ratio = (
         f(x)
         - f(y)
-        + dikin.log_proposal_density(sq, y, x, cfg)
-        - dikin.log_proposal_density(sq, x, y, cfg)
+        + helpers.log_proposal_density(sq, y, x, cfg)
+        - helpers.log_proposal_density(sq, x, y, cfg)
     )
     expected = min(1.0, math.exp(log_ratio))
-    assert dikin.accept_prob(sq, f, x, y, cfg) == pytest.approx(expected, rel=1e-12)
+    assert helpers.accept_prob(sq, f, x, y, cfg) == pytest.approx(expected, rel=1e-12)
 
 
 def _log_accept(P, f, x, y, cfg):
@@ -95,8 +97,8 @@ def _log_accept(P, f, x, y, cfg):
     s = (
         f(x)
         - f(y)
-        + dikin.log_proposal_density(P, y, x, cfg)
-        - dikin.log_proposal_density(P, x, y, cfg)
+        + helpers.log_proposal_density(P, y, x, cfg)
+        - helpers.log_proposal_density(P, x, y, cfg)
     )
     return min(0.0, s)
 
@@ -113,30 +115,30 @@ def test_detailed_balance_residual(rng):
             for x, y in zip(X, Y):
                 la_xy = _log_accept(P, f, x, y, cfg)
                 la_yx = _log_accept(P, f, y, x, cfg)
-                lhs = -f(x) + dikin.log_proposal_density(P, x, y, cfg) + la_xy
-                rhs = -f(y) + dikin.log_proposal_density(P, y, x, cfg) + la_yx
+                lhs = -f(x) + helpers.log_proposal_density(P, x, y, cfg) + la_xy
+                rhs = -f(y) + helpers.log_proposal_density(P, y, x, cfg) + la_yx
                 assert abs(lhs - rhs) <= 1e-8
                 # the shipped probability agrees with the log-space value
-                assert dikin.accept_prob(P, f, x, y, cfg) == pytest.approx(
+                assert helpers.accept_prob(P, f, x, y, cfg) == pytest.approx(
                     math.exp(la_xy), rel=1e-12
                 )
 
 
 def test_run_chain_zero_steps_returns_start(sq, rng):
     x0 = np.array([0.4, -0.4])
-    out = dikin.run_chain(sq, uniform(), dikin.WalkConfig(eta=0.5, T=0), x0, rng)
+    out = helpers.run_chain(sq, uniform(), dikin.WalkConfig(eta=0.5, T=0), x0, rng)
     np.testing.assert_array_equal(out, x0)
 
 
 def test_run_chain_rejects_exterior_start(sq, rng):
     with pytest.raises(ValueError):
-        dikin.run_chain(sq, uniform(), dikin.WalkConfig(T=1), [1.5, 0.0], rng)
+        helpers.run_chain(sq, uniform(), dikin.WalkConfig(T=1), [1.5, 0.0], rng)
 
 
 def test_run_chain_stays_interior_and_counts(sq):
     rng = np.random.default_rng(3)
     cfg = dikin.WalkConfig(eta=0.8, T=200)
-    state = dikin.run_chain_state(sq, uniform(), cfg, np.zeros(2), rng)
+    state = helpers.run_chain_state(sq, uniform(), cfg, np.zeros(2), rng)
     assert state.steps == 200
     assert 0 < state.accepts <= 200
     assert margin(sq, state.x) > 0
@@ -144,8 +146,8 @@ def test_run_chain_stays_interior_and_counts(sq):
 
 def test_run_chain_deterministic(sq):
     cfg = dikin.WalkConfig(eta=0.8, T=50)
-    a = dikin.run_chain(sq, uniform(), cfg, np.zeros(2), np.random.default_rng(11))
-    b = dikin.run_chain(sq, uniform(), cfg, np.zeros(2), np.random.default_rng(11))
+    a = helpers.run_chain(sq, uniform(), cfg, np.zeros(2), np.random.default_rng(11))
+    b = helpers.run_chain(sq, uniform(), cfg, np.zeros(2), np.random.default_rng(11))
     np.testing.assert_array_equal(a, b)
 
 
@@ -157,10 +159,82 @@ def test_batch_matches_scalar_chain():
         f = linear(np.linspace(0.5, 1.0, d))
         cfg = dikin.WalkConfig(eta=0.7, T=50)
         x0 = np.full(d, 0.1)
-        scalar_state = dikin.run_chain_state(P, f, cfg, x0, rng_stream(99, 0))
+        scalar_state = helpers.run_chain_state(P, f, cfg, x0, rng_stream(99, 0))
         X, accepts = dikin.run_chains_batch(P, f, cfg, x0[None, :], rng_stream(99, 0))
         np.testing.assert_allclose(X[0], scalar_state.x, atol=1e-9)
         assert accepts == scalar_state.accepts
+
+
+class _Replay:
+    """One chain's share of a batch's draws, served in the order the
+    one-chain walk asks for them: d normals, then one uniform, per step."""
+
+    def __init__(self, G: np.ndarray, U: np.ndarray):
+        self.G, self.U, self.step = G, U, 0
+
+    def standard_normal(self, d):
+        assert d == self.G.shape[1]
+        return self.G[self.step]
+
+    def random(self):
+        u = self.U[self.step]
+        self.step += 1
+        return u
+
+
+@pytest.mark.parametrize("n", (1, dikin.BLOCK + 1))
+@pytest.mark.parametrize("d", (3, 4, 5, 8, 10))
+def test_batch_matches_scalar_chain_on_random_polytopes(d, n):
+    """Off the axes, H has off-diagonal entries, so every entry of the
+    column Cholesky is checked: each chain of the batch, fed its own share
+    of the batch's draws, must retrace the one-chain reference walk."""
+    rng = np.random.default_rng(700 + d)
+    P = helpers.random_polytope(rng, d, m_extra=2 * d)
+    f = linear(rng.standard_normal(d) / math.sqrt(d))
+    cfg = dikin.WalkConfig(eta=0.6, T=4)
+    X0 = dikin.warm_start_many(P, rng, n)
+    X, accepts = dikin.run_chains_batch(P, f, cfg, X0, np.random.default_rng(d))
+
+    draws = np.random.default_rng(d)
+    G, U = np.empty((cfg.T, n, d)), np.empty((cfg.T, n))
+    for step in range(cfg.T):
+        G[step] = draws.standard_normal((n, d))
+        U[step] = draws.random(n)
+    want = 0
+    for i in range(n):
+        state = helpers.run_chain_state(P, f, cfg, X0[i], _Replay(G[:, i], U[:, i]))
+        np.testing.assert_allclose(X[i], state.x, rtol=0, atol=1e-9)
+        want += state.accepts
+    assert accepts == want
+    assert 0 < accepts < n * cfg.T or n == 1  # the batch also saw rejections
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    width=st.floats(1e-7, 1e-1),
+    dup=st.integers(0, 3),
+    eta=st.floats(0.05, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_survives_degenerate_geometry(d, width, dup, eta, seed):
+    """Duplicate facets and a thin slab make H ill-conditioned, so a
+    Cholesky pivot can round to zero or below. The walk must reject such
+    proposals, not raise, and every chain must stay strictly inside."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(d)
+    u /= np.linalg.norm(u)
+    A = np.vstack([np.eye(d), -np.eye(d), u, -u])
+    b = np.concatenate([np.ones(2 * d), [width, width]])
+    A = np.vstack([A, A[rng.integers(0, len(A), dup)]])
+    b = np.concatenate([b, b[len(b) - len(A) :]]) if dup else b
+    P = Polytope(A, b, np.zeros(d), width / 2, math.sqrt(d))
+    X0 = dikin.warm_start_many(P, rng, 50)
+    f = linear(rng.standard_normal(d))
+    X, accepts = dikin.run_chains_batch(P, f, dikin.WalkConfig(eta=eta, T=20), X0, rng)
+    assert X.shape == (50, d)
+    assert np.all(P.b - X @ P.A.T > 0)
+    assert 0 <= accepts <= 50 * 20
 
 
 def _polygon(m: int, rng: np.random.Generator) -> Polytope:
@@ -247,7 +321,7 @@ def test_warm_start_in_inscribed_ball(rng):
     X = dikin.warm_start_many(P, rng, 500)
     assert np.all(np.linalg.norm(X - P.center, axis=1) <= P.r + 1e-12)
     assert np.all(margin_many(P, X) >= -1e-12)
-    single = dikin.warm_start(P, rng)
+    single = helpers.warm_start(P, rng)
     assert np.linalg.norm(single - P.center) <= P.r
 
 

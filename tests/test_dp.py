@@ -14,7 +14,6 @@ from polysamp.dp import (
     enumerate_vertices,
     halting_threshold,
     load_erm_instance,
-    private_erm,
     private_erm_batch,
     total_loss_density,
     utility_gap,
@@ -150,23 +149,24 @@ def test_halting_threshold(n, d, eps, want):
 
 def test_private_erm_single_run(erm_file):
     inst = load_erm_instance(erm_file)
-    theta, tel = private_erm(inst, np.random.default_rng(11))
-    assert contains(inst.polytope, theta)
-    assert tel.t_halt == 11
-    assert tel.params.tau_max == 2
-    assert tel.T == 56
-    assert tel.eta > 0
-    if tel.fallback == FALLBACK_NONE:
-        assert tel.oracle_calls == tel.tau
+    run = private_erm_batch(inst, np.random.default_rng(11), 1)
+    assert len(run) == 1
+    assert contains(inst.polytope, run.thetas[0])
+    assert run.t_halt == 11
+    assert run.params.tau_max == 2
+    assert run.T == 56
+    assert run.eta > 0
+    if run.fallback[0] == FALLBACK_NONE:
+        assert run.oracle_calls[0] == run.tau[0]
     else:
-        assert tel.fallback == FALLBACK_BALL  # t_halt=11 >= tau_max=2: no cap
-        assert tel.tau == tel.params.tau_max + 1
+        assert run.fallback[0] == FALLBACK_BALL  # t_halt=11 >= tau_max=2: no cap
+        assert run.tau[0] == run.params.tau_max + 1
 
 
 def test_private_erm_deterministic(erm_file):
     inst = load_erm_instance(erm_file)
-    a, _ = private_erm(inst, np.random.default_rng(12), eta=1.5)
-    b, _ = private_erm(inst, np.random.default_rng(12), eta=1.5)
+    a = private_erm_batch(inst, np.random.default_rng(12), 1, eta=1.5).thetas
+    b = private_erm_batch(inst, np.random.default_rng(12), 1, eta=1.5).thetas
     assert np.array_equal(a, b)
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import helpers
 from polysamp.errors import ConfigError, ContractViolation
 from polysamp.geometry import (
-    Ball,
     Polytope,
     _row_norms,
     all_rows,
@@ -23,7 +22,6 @@ from polysamp.geometry import (
     parse_polytope_lines,
     sample_unit_ball,
     sample_unit_ball_many,
-    stretch,
 )
 
 
@@ -131,16 +129,6 @@ def test_normalize_recenters_and_preserves_radii():
     assert margin(Pn, x) == pytest.approx(margin(P, x + t))
 
 
-def test_stretch_scaling_and_domain():
-    Z = np.array([0.3, -0.6])
-    np.testing.assert_array_equal(stretch(Z, 0.0), Z)
-    np.testing.assert_allclose(stretch(Z, 0.25) * 0.75, Z)
-    with pytest.raises(ValueError):
-        stretch(Z, -0.01)
-    with pytest.raises(ValueError):
-        stretch(Z, 0.51)
-
-
 def test_stretch_margin_guarantee_small(rng):
     """Points whose stretch lands in K sit delta*r deep inside K."""
     for _ in range(20):
@@ -163,12 +151,6 @@ def test_sample_unit_ball_radius_law(rng):
     single = sample_unit_ball(rng, 3)
     assert single.shape == (3,)
     assert np.linalg.norm(single) <= 1.0
-
-
-def test_ball_contains():
-    ball = Ball(center=np.array([1.0, 0.0]), radius=0.5)
-    assert ball.contains([1.2, 0.1])
-    assert not ball.contains([1.6, 0.0])
 
 
 def test_check_outer_radius(sq):
@@ -236,9 +218,3 @@ def test_contains_iff_margin_nonnegative(x, y):
     theta = np.array([x, y])
     assert contains(P, theta) == (margin(P, theta) >= 0)
 
-
-@settings(max_examples=100, deadline=None)
-@given(delta=st.floats(1e-9, 0.5), scale=st.floats(0.1, 5.0))
-def test_stretch_inverts_shrink(delta, scale):
-    Z = np.array([0.4, -1.1]) * scale
-    np.testing.assert_allclose(stretch(Z, delta) * (1 - delta), Z, rtol=1e-12)

@@ -16,9 +16,6 @@ from polysamp.oracle import (
     ExactSampler,
     box_bounds,
     cell_masses,
-    exact_sample,
-    exact_sample_batch,
-    grid_to_csv_rows,
     histogram_counts,
     sup_log_ratio,
     tv_estimate,
@@ -91,16 +88,16 @@ def test_exact_sampler_dimension_guard(rng):
 def test_exact_sampler_matches_closed_form_cdf(seg):
     # f(theta) = theta on [-1, 1]: P(theta <= 0) = e/(e - 1/e) (frozen below)
     rng = np.random.default_rng(101)
-    X = exact_sample_batch(seg, linear(np.array([1.0])), rng, 20000)
+    X = ExactSampler(seg, linear(np.array([1.0])), rng).draw(rng, 20000)
     p = 0.7310585786300049
     phat = float(np.mean(X[:, 0] <= 0.0))
     assert abs(phat - p) <= 3.0 * math.sqrt(p * (1.0 - p) / 20000)
 
 
 def test_exact_sample_single_draw(seg, rng):
-    x = exact_sample(seg, linear(np.array([1.0])), rng)
-    assert x.shape == (1,)
-    assert -1.0 <= x[0] <= 1.0
+    X = ExactSampler(seg, linear(np.array([1.0])), rng).draw(rng, 1)
+    assert X.shape == (1, 1)
+    assert -1.0 <= X[0, 0] <= 1.0
 
 
 def test_exact_sampler_deterministic(seg):
@@ -255,7 +252,7 @@ def test_histogram_counts_sum(sq, rng):
 def test_sup_log_ratio_self_consistency(seg):
     f = linear(np.array([1.0]))
     rng = np.random.default_rng(202)
-    X = exact_sample_batch(seg, f, rng, 20000)
+    X = ExactSampler(seg, f, rng).draw(rng, 20000)
     grid = cell_masses(seg, f, 20)
     res = sup_log_ratio(X, grid)
     assert res.excluded == []  # every cell has expected count >= 100 here
@@ -279,7 +276,7 @@ def test_sup_log_ratio_exclusion_threshold(seg):
     f = linear(np.array([3.0]))
     grid = cell_masses(seg, f, 10)
     rng = np.random.default_rng(303)
-    X = exact_sample_batch(seg, f, rng, 2000)
+    X = ExactSampler(seg, f, rng).draw(rng, 2000)
     res = sup_log_ratio(X, grid)
     assert len(res.excluded) > 0
     assert len(res.excluded) + res.cells.size == grid.n_cells
@@ -314,16 +311,3 @@ def test_tv_estimate_small_for_matching_sample(sq):
     X = helpers.uniform_in_polytope(sq, rng, 20000)
     grid = cell_masses(sq, uniform(), 5)
     assert tv_estimate(X, grid) < 0.05
-
-
-def test_grid_to_csv_rows(seg):
-    grid = cell_masses(seg, uniform(), 4)
-    rows = list(grid_to_csv_rows(grid))
-    assert len(rows) == 4
-    assert rows[0][0] == 0
-    assert rows[0][1] == pytest.approx(-0.75)
-    assert rows[0][2] == pytest.approx(0.25)
-    counts = np.array([5, 0, 1, 2])
-    rows = list(grid_to_csv_rows(grid, counts))
-    assert rows[0][-1] == 5
-    assert rows[3][-1] == 2
