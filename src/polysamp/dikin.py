@@ -142,18 +142,16 @@ class _Barrier:
     ``state`` holds the barrier data at the chain points and ``prop`` at
     the proposals, one row per number: log det H; H packed, its lower
     triangle taken column by column, so that column j from the diagonal
-    down is one slice of rows; and for d >= 3 the dense
-    (d, d, k) Cholesky factor L, of which only the lower triangle is used.
-    An accepted move is one masked copy from ``prop`` to ``state``.
+    down is one slice of rows; and the dense (d, d, k) Cholesky factor L,
+    of which only the lower triangle is used. An accepted move is one
+    masked copy from ``prop`` to ``state``.
 
     Each entry of H is one ``(1/S**2) @ (a_i * a_j)`` product. ``factor``
     builds L column by column, each column one sum over the columns before
     it, and log det H is the sum of the logs of the pivots, so for d = 1 it
-    is log(h) itself. A step runs one factorization. For d >= 3, log det
-    H(y) takes the pivots of H(y), whose factor is kept as the chain's L
-    when the move is accepted. For d <= 2, log det H has a closed form, and
-    H(x) is factored into scratch when the proposal is drawn: that costs
-    less than copying a kept factor on every accepted move.
+    is log(h) itself. A step runs one factorization: that of H(y), which
+    gives log det H(y) and is kept as the chain's L when the move is
+    accepted.
 
     Every view a step works on is made here, once: numpy makes a new view
     object on every indexing, and on a small block that costs more than
@@ -167,8 +165,8 @@ class _Barrier:
         self.coef = np.ascontiguousarray((A[:, rows] * A[:, cols]).T)[:, :, None]
         starts = np.cumsum([0] + [d - j for j in range(d)])
         column = [slice(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
-        E, self.keep = len(lower), d > 2
-        size = 1 + E + (d * d if self.keep else 0)
+        E = len(lower)
+        size = 1 + E + d * d
 
         self.state, self.prop = np.zeros((size, k)), np.zeros((size, k))
         self.ld, self.ldy = self.state[0], self.prop[0]
@@ -189,12 +187,8 @@ class _Barrier:
         self.z, self.zs, self.vs, self.t = z, list(z), list(v), list(t)
         self.logs = t[1:d]  # log pivots 1..d-1
 
-        if self.keep:  # factor H(y), kept as L on accept
-            L, Ly = (a[1 + E :].reshape(d, d, k) for a in (self.state, self.prop))
-            self.factor_y = self._factor_plan(column, Hy, Ly, t)
-        else:  # factor H(x) into scratch
-            L = _scratch(walk.Lbuf, d, d, k)
-            self.factor_x = self._factor_plan(column, H, L, t)
+        L, Ly = (a[1 + E :].reshape(d, d, k) for a in (self.state, self.prop))
+        self.factor_y = self._factor_plan(column, Hy, Ly, t)
         self.solve = [  # L^T z = g by back substitution
             (
                 _dot(L[j + 1 :, j], z[j + 1 :], out=z[j]) if j + 1 < d else None,
@@ -230,12 +224,11 @@ class _Barrier:
         return plan
 
     def at_proposals(self) -> None:
-        """H(y), log det H(y) and, when kept, the factor of H(y), from
-        W = 1/S**2 in S. H(y) is a stack of matrix-vector products: each
-        entry gets the same BLAS call, and bits, as W @ (a_i * a_j)."""
+        """H(y), its factor and log det H(y), from W = 1/S**2 in S. H(y) is
+        a stack of matrix-vector products: each entry gets the same BLAS
+        call, and bits, as W @ (a_i * a_j)."""
         np.matmul(self.S, self.coef, out=self.Hy3)
-        if self.keep:
-            self.factor(self.factor_y)
+        self.factor(self.factor_y)
         self.logdet()
 
     @staticmethod
@@ -260,8 +253,6 @@ class _Barrier:
 
     def sample(self) -> None:
         """z with L^T z = g, for the rows g of G and the factor L of H(x)."""
-        if not self.keep:
-            self.factor(self.factor_x)
         for dot, g, z, ljj in self.solve:
             if dot:
                 dot()
@@ -324,7 +315,9 @@ def run_chains_batch(
 
     Parameters
     ----------
-    X0 : (n, d) array of strictly interior starting points.
+    X0 : (n, d) array of strictly interior starting points, at each of
+        which the barrier Hessian must be finite and factor in floating
+        point (a chain whose factor is nan would reject every proposal).
 
     Returns
     -------
@@ -338,7 +331,10 @@ def run_chains_batch(
     S = P.b - X @ P.A.T
     if np.any(S <= 0):
         raise ValueError("all chains must start strictly inside the polytope")
-    return _Walk(P, f, cfg, X, S).run(rng)
+    walk = _Walk(P, f, cfg, X, S)
+    if not all(np.isfinite(blk.state).all() for blk in walk.blocks):
+        raise ValueError("the barrier Hessian does not factor at some starting point")
+    return walk.run(rng)
 
 
 class _Walk:
@@ -380,7 +376,6 @@ class _Walk:
         self.flags = np.empty((rows, P.m), dtype=bool)
         self.accept = np.empty(rows, dtype=bool)
         self.movedbuf = np.empty((1 + E + d * d) * rows, dtype=bool)
-        self.Lbuf = np.zeros(d * d * rows)
         self.zbuf, self.vbuf = np.empty(d * rows), np.empty(d * rows)
         self.tbuf, self.vvbuf = np.empty(max(d, 4) * rows), np.empty(E * rows)
         kind = _Barrier2D if d == 2 else _Barrier

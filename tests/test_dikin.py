@@ -220,21 +220,38 @@ def test_batch_matches_scalar_chain_on_random_polytopes(d, n):
 def test_batch_survives_degenerate_geometry(d, width, dup, eta, seed):
     """Duplicate facets and a thin slab make H ill-conditioned, so a
     Cholesky pivot can round to zero or below. The walk must reject such
-    proposals, not raise, and every chain must stay strictly inside."""
+    proposals, not raise, every chain must stay strictly inside, and the
+    chains must still move."""
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(d)
     u /= np.linalg.norm(u)
     A = np.vstack([np.eye(d), -np.eye(d), u, -u])
     b = np.concatenate([np.ones(2 * d), [width, width]])
-    A = np.vstack([A, A[rng.integers(0, len(A), dup)]])
-    b = np.concatenate([b, b[len(b) - len(A) :]]) if dup else b
+    idx = rng.integers(0, len(A), dup)
+    A, b = np.vstack([A, A[idx]]), np.concatenate([b, b[idx]])
     P = Polytope(A, b, np.zeros(d), width / 2, math.sqrt(d))
     X0 = dikin.warm_start_many(P, rng, 50)
     f = linear(rng.standard_normal(d))
     X, accepts = dikin.run_chains_batch(P, f, dikin.WalkConfig(eta=eta, T=20), X0, rng)
     assert X.shape == (50, d)
     assert np.all(P.b - X @ P.A.T > 0)
-    assert 0 <= accepts <= 50 * 20
+    assert 0 < accepts <= 50 * 20
+
+
+@pytest.mark.parametrize("d, gap", [(1, 1e-170), (2, 1e-150), (3, 1e-150)])
+def test_batch_refuses_start_whose_hessian_does_not_factor(d, gap):
+    """At slack gap from the facet a.x <= 0, 1/slack**2 overflows (d = 1)
+    or dwarfs the other terms of H so that a pivot rounds to zero (d >= 2).
+    That chain's factor would be nan and reject every proposal, so the walk
+    refuses the start rather than return it as a sample."""
+    a = np.ones(d) / math.sqrt(d)
+    A = np.vstack([np.eye(d), -np.eye(d), a])
+    P = Polytope(A, np.append(np.ones(2 * d), 0.0), np.full(d, -0.5), 0.25, math.sqrt(d))
+    X0 = dikin.warm_start_many(P, np.random.default_rng(0), 5)
+    X0 = np.vstack([X0, np.append(-gap, np.zeros(d - 1))])
+    assert np.all(P.b - X0 @ P.A.T > 0)
+    with pytest.raises(ValueError, match="does not factor"):
+        dikin.run_chains_batch(P, uniform(), dikin.WalkConfig(eta=0.5, T=5), X0, np.random.default_rng(1))
 
 
 def _polygon(m: int, rng: np.random.Generator) -> Polytope:
