@@ -26,6 +26,7 @@ import math
 import os
 import stat
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -138,12 +139,12 @@ def _cells(col: np.ndarray) -> tuple[str, list]:
     return ("%d" if kind in "iu" else "%s"), col.tolist()
 
 
-def _write_rows(out, *columns) -> None:
-    """Write equal-length 1-D columns as CSV rows, one ``out.write`` per block.
+def _row_blocks(*columns):
+    """CSV text of equal-length 1-D columns, one string per ROW_BLOCK rows.
 
-    Each block of ROW_BLOCK rows fills one row template, repeated, from its
-    columns' values, so memory stays flat in the row count. repr of a float
-    is the shortest string that round-trips: reruns stay byte-identical.
+    Each block fills one row template, repeated, from its columns' values,
+    so memory stays flat in the row count. repr of a float is the shortest
+    string that round-trips: reruns stay byte-identical.
     """
     n, k = len(columns[0]), len(columns)
     for start in range(0, n, ROW_BLOCK):
@@ -154,7 +155,101 @@ def _write_rows(out, *columns) -> None:
             conversion, values[j::k] = _cells(col[start : start + rows])
             conversions.append(conversion)
         template = ",".join(conversions) + "\n"
-        out.write((template * rows) % tuple(values))
+        yield (template * rows) % tuple(values)
+
+
+def _write_rows(out, *columns) -> None:
+    """Write columns as CSV rows, one ``out.write`` per block."""
+    for block in _row_blocks(*columns):
+        out.write(block)
+
+
+def _formatter_count(n_chunks: int) -> int:
+    """F, the processes that format a run of n_chunks chunks: one per CPU
+    this process may run on, at most one per chunk. 1 formats in-process."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_chunks)
+
+
+def _format_loop(conn) -> None:
+    """A forked formatter: columns in, the text ``_write_rows`` would write
+    for them out, until the parent closes its end or ends the process."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's to handle
+    with contextlib.suppress(EOFError):
+        while True:
+            conn.send("".join(_row_blocks(*conn.recv())))
+
+
+@contextlib.contextmanager
+def _chunk_writer(out, formatters: int, fork_at_entry: bool):
+    """``write(*columns)``, which puts one chunk's rows on out in call order.
+
+    With formatters == 1 each call runs ``_write_rows``. Otherwise that many
+    forked processes turn chunks into text while the caller makes the next
+    ones, and at most ``formatters`` chunks wait formatted but unwritten.
+    A fork copies only the calling thread, so they are forked on entry when
+    the caller will start threads, else at the first write (the first chunk
+    then does not wait for the forks). If the caller's body raises an
+    Exception, the chunks it passed before are written before the error
+    propagates; a KeyboardInterrupt drops them. On exit no formatter is
+    left running.
+    """
+    if formatters == 1:
+        yield lambda *columns: _write_rows(out, *columns)
+        return
+    idle, pending, procs = [], deque(), []
+
+    def fork():
+        import multiprocessing  # only runs that fork pay for the import
+
+        ctx = multiprocessing.get_context("fork")
+        out.flush()  # a child must not inherit buffered bytes
+        for _ in range(formatters):
+            conn, child_end = ctx.Pipe()
+            proc = ctx.Process(target=_format_loop, args=(child_end,), daemon=True)
+            proc.start()
+            procs.append(proc)
+            child_end.close()
+            idle.append(conn)
+
+    def write_oldest():
+        conn = pending.popleft()
+        try:
+            out.write(conn.recv())
+        except BaseException:
+            pending.clear()  # nothing may follow a chunk that did not go out
+            raise
+        idle.append(conn)
+
+    def write(*columns):
+        if not procs:
+            fork()
+        if not idle:
+            write_oldest()
+        conn = idle.pop()
+        conn.send(columns)
+        pending.append(conn)
+
+    try:
+        if fork_at_entry:
+            fork()
+        try:
+            yield write
+        except Exception:
+            with contextlib.suppress(Exception):  # the first error is the one to report
+                while pending:
+                    write_oldest()
+            raise
+        while pending:
+            write_oldest()
+    finally:
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
 
 
 def _load_inputs(args):
@@ -223,19 +318,20 @@ def cmd_sample(args) -> int:
         out.write(f"# params_hash={_params_hash(plan.params, plan.T)}\n")
         coords = ",".join(f"x{j + 1}" for j in range(P.d))
         out.write(f"index,{coords},tau,fallback,oracle_calls\n")
-        # each chunk is written as soon as it is made, then dropped
-        start = 0
-        for batch in plan.chunks():
-            stop = start + len(batch)
-            _write_rows(
-                out,
-                np.arange(start, stop),
-                *batch.points.T,
-                batch.tau,
-                batch.fallback,
-                batch.oracle_calls,
-            )
-            start = stop
+        formatters = _formatter_count(plan.n_chunks)
+        with _chunk_writer(out, formatters, fork_at_entry=plan.workers > 1) as write:
+            # each chunk is handed on as soon as it is made, then dropped
+            start = 0
+            for batch in plan.chunks():
+                stop = start + len(batch)
+                write(
+                    np.arange(start, stop),
+                    *batch.points.T,
+                    batch.tau,
+                    batch.fallback,
+                    batch.oracle_calls,
+                )
+                start = stop
     return 0
 
 
@@ -341,7 +437,9 @@ def cmd_erm(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp, *, density: bool = True, eps: bool = True):
+def _add_common(sp, *, density: bool = True, eps: bool = True, sampling: bool = True):
+    """The shared flags; sampling=False leaves out those only a run uses
+    (--seed, --n, --eta), for ``params``, which samples nothing."""
     sp.add_argument("--polytope", help="polytope (or ERM instance) file")
     if density:
         sp.add_argument(
@@ -351,10 +449,11 @@ def _add_common(sp, *, density: bool = True, eps: bool = True):
         )
     if eps:
         sp.add_argument("--eps", type=float, required=True, help="infinity-distance target")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--n", type=int, default=1, help="number of output points")
+    if sampling:
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--n", type=int, default=1, help="number of output points")
+        sp.add_argument("--eta", type=float, default=None, help="walk step size (default: auto-tune)")
     sp.add_argument("--cmix", type=float, default=None, help="mixing-time prefactor override")
-    sp.add_argument("--eta", type=float, default=None, help="walk step size (default: auto-tune)")
     sp.add_argument(
         "--paper-constants",
         action="store_true",
@@ -362,13 +461,15 @@ def _add_common(sp, *, density: bool = True, eps: bool = True):
     )
 
 
-def _add_output(sp, *, workers: bool = True):
-    """--out for the commands that write a CSV; --workers for those that
-    run their chunks through ``plan_sampling``."""
+_WORKERS_HELP = "threads that sample chunks (same output at any count; they save little time)"
+
+
+def _add_output(sp, *, workers: str | None = _WORKERS_HELP):
+    """--out for the commands that write a CSV; --workers, with this help,
+    for those that run their chunks through ``plan_sampling``."""
     sp.add_argument("--out", default=None, help="output file (default: stdout)")
     if workers:
-        help_ = "worker threads for chunks (same output at any count; 2 on 2 CPUs saved 0-20%% time)"
-        sp.add_argument("--workers", type=int, default=1, help=help_)
+        sp.add_argument("--workers", type=int, default=1, help=workers)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,11 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("params", help="print the derived parameter schedule")
-    _add_common(sp)
+    _add_common(sp, sampling=False)
 
     sp = sub.add_parser("sample", help="draw N points to CSV")
     _add_common(sp)
-    _add_output(sp)
+    formatting = "; CSV rows are formatted in one forked process per usable CPU"
+    _add_output(sp, workers=_WORKERS_HELP + formatting)
     sp.add_argument("--oracle", choices=("dikin", "exact"), default="dikin")
 
     sp = sub.add_parser("diagnose", help="compare a run against exact cell masses (d <= 3)")
@@ -395,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("erm", help="differentially private ERM on an instance file")
     _add_common(sp, density=False, eps=False)
-    _add_output(sp, workers=False)
+    _add_output(sp, workers=None)
 
     return ap
 

@@ -143,19 +143,6 @@ def norm1(level: float, d: int) -> LogDensity:
     )
 
 
-def loss_sum(C) -> LogDensity:
-    """Sum of linear losses: f(theta) = sum_i c_i . theta for rows c_i of C.
-
-    The Lipschitz constant is ||sum_i c_i||_2 (exact for the sum); private
-    ERM code uses the looser bound n * max ||c_i|| for sensitivity instead,
-    because privacy must hold for every neighboring dataset, not just the
-    observed one.
-    """
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    total = C.sum(axis=0)
-    return LogDensity(lambda X, _c=total: X @ _c, float(np.linalg.norm(total)), name="loss_sum")
-
-
 def parse_density(spec: str, d: int) -> LogDensity:
     """Parse the CLI density grammar (without the 'erm:' kind).
 

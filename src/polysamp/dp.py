@@ -26,7 +26,7 @@ import numpy as np
 from . import converter, dikin
 from .density import LogDensity, exp_mechanism_density, shifted
 from .errors import ConfigError
-from .geometry import Polytope, contains, normalize, parse_polytope_lines
+from .geometry import Polytope, normalize, parse_polytope_lines
 
 __all__ = [
     "ErmInstance",
@@ -36,7 +36,6 @@ __all__ = [
     "halting_threshold",
     "private_erm_batch",
     "enumerate_vertices",
-    "utility_gap",
 ]
 
 
@@ -271,18 +270,3 @@ def enumerate_vertices(P: Polytope, tol: float = 1e-9) -> np.ndarray:
     # Dedupe on a rounded key; exact duplicates arise whenever > d facets meet.
     _, keep = np.unique(np.round(V / max(tol, 1e-12)).astype(np.int64), axis=0, return_index=True)
     return V[np.sort(keep)]
-
-
-def utility_gap(inst: ErmInstance, theta_hat: np.ndarray) -> float:
-    """Excess total loss of theta_hat over the exact polytope minimum.
-
-    The total loss is linear, so the minimum sits at a vertex and the
-    exhaustive enumeration is exact. Nonnegative up to solver roundoff.
-    """
-    theta_hat = np.asarray(theta_hat, dtype=float).ravel()
-    if not contains(inst.polytope, theta_hat):
-        raise ValueError("theta_hat is outside the feasible polytope")
-    csum = inst.losses.sum(axis=0)
-    vertices = enumerate_vertices(inst.polytope)
-    best = float(np.min(vertices @ csum))
-    return float(theta_hat @ csum - best)

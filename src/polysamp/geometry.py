@@ -1,4 +1,4 @@
-"""Polytope geometry: membership, margins, ball sampling.
+"""Polytope geometry: membership, ball sampling.
 
 A polytope is the closed set K = {x : A x <= b} together with a certified
 inscribed ball B(center, r) (verified at construction) and a declared
@@ -6,13 +6,8 @@ circumscribed radius R with K contained in B(center, R) (a caller promise,
 spot-checked wherever points are sampled). All the sampling machinery in the
 other modules works relative to these two radii.
 
-Conventions
------------
-* Closed polytope: boundary points are members, so ``contains`` is exactly
-  ``margin >= 0`` with no tolerance.
-* ``margin(P, x)`` is the minimum over facets of the signed point-to-plane
-  distance (b_i - a_i . x) / ||a_i||; x lies in the s-interior of K
-  (every point of B(x, s) still in K) iff margin >= s.
+Convention: the polytope is closed, so boundary points are members and
+``contains_many`` applies ``A x <= b`` with no tolerance.
 """
 
 from __future__ import annotations
@@ -22,8 +17,8 @@ import numpy as np
 from .errors import ConfigError, ContractViolation
 
 # Rows with smaller Euclidean norm than this are rejected at construction;
-# margins divide by the row norm and a near-zero normal is a degenerate
-# constraint, not a facet.
+# facet distances divide by the row norm and a near-zero normal is a
+# degenerate constraint, not a facet.
 ROW_NORM_FLOOR = 1e-12
 
 # Relative slack for the outer-radius spot check. Points are produced by
@@ -80,7 +75,7 @@ class Polytope:
 
         # Certify the inner ball: distance from center to every facet plane
         # must be at least r. Exact comparison, no tolerance; callers that
-        # compute r from the same margins get equality bit for bit.
+        # compute r from the same distances get equality bit for bit.
         slacks = (b - A @ center) / row_norms
         if np.any(slacks < r):
             worst = int(np.argmin(slacks))
@@ -115,12 +110,6 @@ def _check_dim(P: Polytope, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def contains(P: Polytope, theta) -> bool:
-    """Exact membership test: A theta <= b componentwise (closed polytope)."""
-    theta = _check_dim(P, np.ravel(np.asarray(theta, dtype=float)))
-    return bool(np.all(P.A @ theta <= P.b))
-
-
 # Flags of a row with m = 1, 2, 4 or 8 entries, all set, read as one integer.
 _ALL_SET = {m: np.array(int("01" * m, 16), dtype=f"<u{m}") for m in (1, 2, 4, 8)}
 
@@ -142,30 +131,11 @@ def contains_many(P: Polytope, X) -> np.ndarray:
     return all_rows(X @ P.A.T <= P.b)
 
 
-def margin(P: Polytope, theta) -> float:
-    """Signed distance from theta to the nearest facet plane.
-
-    Returns
-    -------
-    float
-        min_i (b_i - a_i . theta) / ||a_i||. Negative outside K; theta lies
-        in the s-interior of K iff the result is >= s.
-    """
-    theta = _check_dim(P, np.ravel(np.asarray(theta, dtype=float)))
-    return float(np.min((P.b - P.A @ theta) / P.row_norms))
-
-
-def margin_many(P: Polytope, X) -> np.ndarray:
-    """Vectorized ``margin`` for an (n, d) array of points."""
-    X = _check_dim(P, np.atleast_2d(np.asarray(X, dtype=float)))
-    return np.min((P.b - X @ P.A.T) / P.row_norms, axis=1)
-
-
 def normalize(P: Polytope) -> tuple[Polytope, np.ndarray]:
     """Translate the polytope so the inscribed ball sits at the origin.
 
     Membership is preserved under the shift: x is in the result iff
-    x + translation is in P. Margins are translation invariant, and because
+    x + translation is in P. Distances to the facets are unchanged, and because
     the declared outer ball is centered at the inner-ball center, both radii
     carry over unchanged.
 
@@ -180,19 +150,6 @@ def normalize(P: Polytope) -> tuple[Polytope, np.ndarray]:
     return shifted, translation
 
 
-def sample_unit_ball(rng: np.random.Generator, d: int) -> np.ndarray:
-    """One point uniform on the closed unit ball in d dimensions.
-
-    Gaussian direction normalized to the sphere, radius U**(1/d). No
-    rejection loop, exact in any dimension.
-    """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    g = rng.standard_normal(d)
-    g /= np.linalg.norm(g)
-    return g * rng.random() ** (1.0 / d)
-
-
 def _row_norms(X: np.ndarray) -> np.ndarray:
     """np.linalg.norm(X, axis=1), bit for bit: for d < 8 numpy adds a row's
     squares left to right, as this column loop does; from 8 on it sums
@@ -203,7 +160,11 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
 
 
 def sample_unit_ball_many(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    """Vectorized ``sample_unit_ball``: (n, d) array of independent draws."""
+    """(n, d) array of independent draws, uniform on the closed unit ball.
+
+    Gaussian directions normalized to the sphere, radii U**(1/d). No
+    rejection loop, exact in any dimension.
+    """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     g = rng.standard_normal((n, d))

@@ -10,9 +10,11 @@ any worker count, and a worker pool only changes wall-clock time.
 
 ``plan_sampling`` does the set-up (normalize, schedule, T, eta, oracle) and
 returns a ``SamplingPlan``, whose ``chunks()`` runs the chunks and yields
-their rows in chunk order. A caller that writes each chunk as it comes, as
-the CLI's ``sample`` does, holds O(workers * CHUNK) rows at a time, whatever
-n is. ``run_sampling`` collects every chunk into one ``SamplingResult``.
+their rows in chunk order. A caller that handles each chunk as it comes
+holds O(workers * CHUNK) rows at a time, whatever n is; the CLI's ``sample``
+also keeps up to F chunks waiting on its F forked CSV formatters, so
+O((workers + F) * CHUNK). ``run_sampling`` collects every chunk into one
+``SamplingResult``.
 """
 
 from __future__ import annotations
@@ -102,6 +104,10 @@ class SamplingPlan:
         batch.points += self.translation
         return batch, oracle_batch
 
+    @property
+    def n_chunks(self) -> int:
+        return (self.n + self.chunk - 1) // self.chunk
+
     def chunks(self) -> Iterator[converter.SampleBatch]:
         """Run the chunks and yield each one's rows in chunk order, with
         points in the caller's original coordinates.
@@ -109,9 +115,8 @@ class SamplingPlan:
         With workers > 1, at most ``workers`` chunks run ahead of the one
         just yielded, so finished chunks never pile up.
         """
-        n_chunks = (self.n + self.chunk - 1) // self.chunk
         self.chain_steps = self.accepts = 0
-        for batch, oracle_batch in _ordered(self._run_chunk, n_chunks, self.workers):
+        for batch, oracle_batch in _ordered(self._run_chunk, self.n_chunks, self.workers):
             self.chain_steps += getattr(oracle_batch, "chain_steps", 0)
             self.accepts += getattr(oracle_batch, "accepts", 0)
             yield batch
@@ -173,9 +178,11 @@ def plan_sampling(
     Args:
         oracle: "dikin" for the production walk, "exact" for the rejection
             oracle (desk-scale ground truth; ignores c_mix and eta).
-        workers: thread count for chunk execution. Any value yields the
-            same output. Threads overlap only where numpy releases the GIL:
-            on 2 CPUs, 2 workers saved 0-20% of the wall time (README).
+        workers: threads that run chunks. Any value yields the same
+            output. Threads overlap only where numpy releases the GIL, so
+            they save little time (README). They only sample: the CLI's
+            ``sample`` formats its CSV in forked processes instead, one per
+            usable CPU, and those are forked before the first thread starts.
     """
     if n < 1:
         raise ConfigError("sample count must be at least 1")

@@ -6,7 +6,8 @@ point: they catch transcription slips in the float pipeline). The closed
 forms cover exp(-s theta) on an interval, which is where every d=1
 ground-truth comparison comes from. The one-chain Dikin walk and the
 former production kernels further down are the references the package's
-vectorized kernels are checked against.
+vectorized kernels are checked against. The last section holds small
+geometry, density and ERM functions that only tests call.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from decimal import ROUND_CEILING, Decimal, getcontext
 import numpy as np
 
 from polysamp import converter, dikin, oracle
-from polysamp.geometry import Polytope, margin, sample_unit_ball
+from polysamp.density import LogDensity
+from polysamp.dp import ErmInstance, enumerate_vertices
+from polysamp.geometry import Polytope, _check_dim
 
 getcontext().prec = 50
 
@@ -502,3 +505,78 @@ def reference_erm_rows(out, thetas, tau, fallback, oracle_calls, gaps) -> None:
             f"{i},{xs},{tau[i]},{fallback[i]},"
             f"{oracle_calls[i]},{_csv_float(gaps[i])}\n"
         )
+
+
+# ---------------------------------------------------------------------------
+# Functions only tests call
+# ---------------------------------------------------------------------------
+
+
+def contains(P: Polytope, theta) -> bool:
+    """Exact membership test: A theta <= b componentwise (closed polytope)."""
+    theta = _check_dim(P, np.ravel(np.asarray(theta, dtype=float)))
+    return bool(np.all(P.A @ theta <= P.b))
+
+
+def margin(P: Polytope, theta) -> float:
+    """Signed distance from theta to the nearest facet plane.
+
+    Returns
+    -------
+    float
+        min_i (b_i - a_i . theta) / ||a_i||. Negative outside K; theta lies
+        in the s-interior of K iff the result is >= s.
+    """
+    theta = _check_dim(P, np.ravel(np.asarray(theta, dtype=float)))
+    return float(np.min((P.b - P.A @ theta) / P.row_norms))
+
+
+def margin_many(P: Polytope, X) -> np.ndarray:
+    """Vectorized ``margin`` for an (n, d) array of points."""
+    X = _check_dim(P, np.atleast_2d(np.asarray(X, dtype=float)))
+    return np.min((P.b - X @ P.A.T) / P.row_norms, axis=1)
+
+
+
+
+def sample_unit_ball(rng: np.random.Generator, d: int) -> np.ndarray:
+    """One point uniform on the closed unit ball in d dimensions.
+
+    Gaussian direction normalized to the sphere, radius U**(1/d). No
+    rejection loop, exact in any dimension.
+    """
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    g = rng.standard_normal(d)
+    g /= np.linalg.norm(g)
+    return g * rng.random() ** (1.0 / d)
+
+
+
+
+def utility_gap(inst: ErmInstance, theta_hat: np.ndarray) -> float:
+    """Excess total loss of theta_hat over the exact polytope minimum.
+
+    The total loss is linear, so the minimum sits at a vertex and the
+    exhaustive enumeration is exact. Nonnegative up to solver roundoff.
+    """
+    theta_hat = np.asarray(theta_hat, dtype=float).ravel()
+    if not contains(inst.polytope, theta_hat):
+        raise ValueError("theta_hat is outside the feasible polytope")
+    csum = inst.losses.sum(axis=0)
+    vertices = enumerate_vertices(inst.polytope)
+    best = float(np.min(vertices @ csum))
+    return float(theta_hat @ csum - best)
+
+
+def loss_sum(C) -> LogDensity:
+    """Sum of linear losses: f(theta) = sum_i c_i . theta for rows c_i of C.
+
+    The Lipschitz constant is ||sum_i c_i||_2 (exact for the sum); private
+    ERM code uses the looser bound n * max ||c_i|| for sensitivity instead,
+    because privacy must hold for every neighboring dataset, not just the
+    observed one.
+    """
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    total = C.sum(axis=0)
+    return LogDensity(lambda X, _c=total: X @ _c, float(np.linalg.norm(total)), name="loss_sum")

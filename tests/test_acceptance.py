@@ -20,9 +20,10 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import loss_sum, margin_many
 from polysamp import converter, dikin, dp, oracle
-from polysamp.density import linear, loss_sum, norm1, uniform
-from polysamp.geometry import box, margin_many, normalize
+from polysamp.density import linear, norm1, uniform
+from polysamp.geometry import box, normalize
 from polysamp.pipeline import run_sampling
 
 EPS = 0.5

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import math
+import multiprocessing
 import os
 import stat
 import subprocess
@@ -97,13 +98,21 @@ def test_params_hash_round_trips_into_sample(seg_file, capsys):
 
 @pytest.mark.parametrize(
     "command, flag, value",
-    [("params", "--out", "params.txt"), ("params", "--workers", "2"), ("erm", "--workers", "3")],
+    [
+        ("params", "--out", "params.txt"),
+        ("params", "--workers", "2"),
+        ("params", "--seed", "5"),
+        ("params", "--n", "100"),
+        ("params", "--eta", "0.3"),
+        ("erm", "--workers", "3"),
+    ],
 )
 def test_flags_a_command_would_ignore_are_rejected(
     command, flag, value, square_file, erm_file, tmp_path, capsys, monkeypatch
 ):
     # params only prints and erm runs no chunks: these flags would do
-    # nothing, so argparse refuses them (exit 2) before any work is done
+    # nothing (params' --seed, --n and --eta would only move config_hash),
+    # so argparse refuses them (exit 2) before any work is done
     monkeypatch.chdir(tmp_path)
     polytope = erm_file if command == "erm" else square_file
     argv = [command, "--polytope", str(polytope)] + (["--eps", "0.5"] if command == "params" else [])
@@ -527,9 +536,16 @@ def test_sample_memory_flat_in_n(square_file, tmp_path):
     assert large <= 1.5 * small, (small, large)
 
 
+def _pin_cpus(monkeypatch, count: int) -> None:
+    """Make the CLI see count usable CPUs, so a multi-chunk run forks
+    min(count, chunks) formatters (none when count is 1)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 def test_sample_workers_bound_chunks_in_flight(square_file, tmp_path, capsys, monkeypatch):
-    # with 3 workers, no chunk may enter the converter more than 3 chunks
-    # ahead of the chunk being written
+    # in-process formatting: with 3 workers, no chunk may enter the
+    # converter more than 3 chunks ahead of the chunk being written
+    _pin_cpus(monkeypatch, 1)
     convert, entered, ahead = converter.convert_batch, [], []
 
     def counting(*args, **kwargs):
@@ -549,6 +565,124 @@ def test_sample_workers_bound_chunks_in_flight(square_file, tmp_path, capsys, mo
     assert code == 0
     assert len(entered) == len(ahead) == 9
     assert max(ahead) <= 3, ahead
+
+
+def test_sample_forked_formatters_bound_chunks_in_flight(square_file, capsys, monkeypatch):
+    # 2 forked formatters and 3 workers: when a chunk's rows are written,
+    # at most workers + F = 5 later chunks have entered the converter
+    _pin_cpus(monkeypatch, 2)
+    convert, entered, ahead = converter.convert_batch, [], []
+
+    def counting(*args, **kwargs):
+        entered.append(None)
+        return convert(*args, **kwargs)
+
+    class RecordingOut(io.StringIO):
+        def write(self, text):
+            if text[0].isdigit():  # a chunk's rows, not a header line
+                ahead.append(len(entered) - (int(text.split(",", 1)[0]) // CHUNK + 1))
+            return super().write(text)
+
+    monkeypatch.setattr(converter, "convert_batch", counting)
+    monkeypatch.setattr(sys, "stdout", RecordingOut())
+    code = cli.main(_exact_sample_argv(square_file, 8 * CHUNK + 5, "--workers", "3"))
+    assert code == 0
+    assert len(entered) == len(ahead) == 9
+    assert max(ahead) <= 3 + 2, ahead
+    assert max(ahead) > 3, ahead  # the formatters did hold chunks back
+
+
+@pytest.mark.parametrize("workers", ("1", "3"))
+def test_sample_forks_formatters_before_any_thread(
+    workers, square_file, tmp_path, capsys, monkeypatch
+):
+    # a fork copies only the calling thread: every formatter must be forked
+    # while the command's process has no other thread
+    _pin_cpus(monkeypatch, 2)
+    fork, threads = os.fork, []
+
+    def checked_fork():
+        # fail here rather than fork a child that may deadlock
+        threads.append(threading.active_count())
+        assert threads[-1] == 1, "forked while other threads run"
+        return fork()
+
+    monkeypatch.setattr(os, "fork", checked_fork)
+    argv = _exact_sample_argv(square_file, 4 * CHUNK + 5, "--workers", workers)
+    code, _, _ = run_cli([*argv, "--out", str(tmp_path / "s.csv")], capsys)
+    assert code == 0
+    assert threads == [1, 1]
+
+
+@pytest.mark.parametrize("error", (ContractViolation, KeyboardInterrupt))
+def test_sample_failure_leaves_no_formatter_running(error, square_file, capsys, monkeypatch):
+    # the third of five chunks fails: exit 3 after the first two chunks'
+    # rows, or a KeyboardInterrupt, and either way no formatter survives
+    _pin_cpus(monkeypatch, 2)
+    convert, calls = converter.convert_batch, []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise error("injected failure")
+        return convert(*args, **kwargs)
+
+    monkeypatch.setattr(converter, "convert_batch", failing)
+    argv = _exact_sample_argv(square_file, 4 * CHUNK + 5)
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(argv)
+    else:
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 3
+        assert len(parse_csv(out)[2]) == 2 * CHUNK
+    assert multiprocessing.active_children() == []
+
+
+_SAMPLE_PINNED_ARGV = ["--density", "linear:1,0", "--eps", "0.5", "--oracle", "exact"]
+
+
+def test_sample_pinned_bytes_through_a_pipe(square_file):
+    # a real process writing to a pipe: bytes a forked formatter duplicated
+    # or dropped would show here, where capsys cannot see them
+    argv = ["sample", "--polytope", str(square_file), *_SAMPLE_PINNED_ARGV, "--n", "20000"]
+    cmd = [sys.executable, "-m", "polysamp", *argv, "--seed", "3"]
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE, timeout=300)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == PINNED_SAMPLE_SHA256
+
+
+# Runs ARGV with stdout to a pipe it drains, then prints the peak RSS (kB)
+# of the process tree below it. A fresh launcher keeps the readings apart
+# from the test process's own children and its high-water mark.
+_TREE_PEAK = """
+import resource, subprocess, sys
+with subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE) as proc:
+    while proc.stdout.read(1 << 16):
+        pass
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+sys.exit(proc.returncode)
+"""
+
+
+def _tree_peak_kb(square_file, n: int) -> int:
+    argv = ["sample", "--polytope", str(square_file), *_SAMPLE_PINNED_ARGV, "--n", str(n)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _TREE_PEAK, sys.executable, "-m", "polysamp", *argv],
+        stdout=subprocess.PIPE,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    return int(proc.stdout)
+
+
+def test_sample_process_tree_memory_flat_in_n(square_file):
+    # peak RSS of the command and its formatters, read from the kernel:
+    # 16 times the rows must not mean a larger peak
+    small = _tree_peak_kb(square_file, 2 * CHUNK)
+    large = _tree_peak_kb(square_file, 32 * CHUNK)
+    assert large <= 1.25 * small, (small, large)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import loss_sum
 from polysamp.density import (
     LogDensity,
     exp_mechanism_density,
     linear,
-    loss_sum,
     norm1,
     parse_density,
     shifted,

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import margin, margin_many
 from polysamp import dikin
 from polysamp.density import linear, norm1, uniform
-from polysamp.geometry import Polytope, contains_many, margin, margin_many
+from polysamp.geometry import Polytope, contains_many
 from polysamp.pipeline import POOL_STREAM, rng_stream, run_sampling
 
 

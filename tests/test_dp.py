@@ -16,12 +16,12 @@ from polysamp.dp import (
     load_erm_instance,
     private_erm_batch,
     total_loss_density,
-    utility_gap,
 )
 from polysamp.errors import ConfigError
-from polysamp.geometry import box, contains, contains_many
+from polysamp.geometry import box, contains_many
 
 import helpers
+from helpers import contains, utility_gap
 
 
 def unit_losses(n: int, d: int = 1) -> np.ndarray:

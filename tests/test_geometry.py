@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import contains, margin, margin_many, sample_unit_ball
 from polysamp.errors import ConfigError, ContractViolation
 from polysamp.geometry import (
     Polytope,
@@ -13,14 +14,10 @@ from polysamp.geometry import (
     all_rows,
     box,
     check_outer_radius,
-    contains,
     contains_many,
     load_polytope,
-    margin,
-    margin_many,
     normalize,
     parse_polytope_lines,
-    sample_unit_ball,
     sample_unit_ball_many,
 )
 
