@@ -164,56 +164,59 @@ def _write_rows(out, *columns) -> None:
         out.write(block)
 
 
+# The largest F measured (on a 2-CPU box). Each formatter costs a fork, a
+# process and a chunk in flight, so more wait for a measurement that pays.
+MAX_FORMATTERS = 2
+
+
 def _formatter_count(n_chunks: int) -> int:
     """F, the processes that format a run of n_chunks chunks: one per CPU
-    this process may run on, at most one per chunk. 1 formats in-process."""
+    this process may run on, at most one per chunk and MAX_FORMATTERS.
+    1 formats in-process."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    return min(len(os.sched_getaffinity(0)), n_chunks)
+    return min(MAX_FORMATTERS, len(os.sched_getaffinity(0)), n_chunks)
 
 
-def _format_loop(conn) -> None:
+def _format_loop(conn, parent_ends) -> None:
     """A forked formatter: columns in, the text ``_write_rows`` would write
-    for them out, until the parent closes its end or ends the process."""
+    for them out, until the parent's end of conn closes, which it does when
+    the parent is done or dies, or the parent ends the process.
+
+    parent_ends are the parent's pipe ends this process inherited, its own
+    among them; they are closed first, else conn would never see EOF.
+    """
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's to handle
-    with contextlib.suppress(EOFError):
+    for end in parent_ends:
+        end.close()
+    with contextlib.suppress(EOFError, BrokenPipeError):
         while True:
             conn.send("".join(_row_blocks(*conn.recv())))
 
 
 @contextlib.contextmanager
-def _chunk_writer(out, formatters: int, fork_at_entry: bool):
+def _chunk_writer(out, formatters: int):
     """``write(*columns)``, which puts one chunk's rows on out in call order.
 
     With formatters == 1 each call runs ``_write_rows``. Otherwise that many
-    forked processes turn chunks into text while the caller makes the next
-    ones, and at most ``formatters`` chunks wait formatted but unwritten.
-    A fork copies only the calling thread, so they are forked on entry when
-    the caller will start threads, else at the first write (the first chunk
-    then does not wait for the forks). If the caller's body raises an
-    Exception, the chunks it passed before are written before the error
-    propagates; a KeyboardInterrupt drops them. On exit no formatter is
-    left running.
+    processes, forked on entry (before the caller starts any thread: a fork
+    copies only the calling thread), turn chunks into text while the caller
+    makes the next ones, and at most ``formatters`` chunks wait formatted
+    but unwritten. If the caller's body raises an Exception, the chunks it
+    passed before are written before the error propagates; a
+    KeyboardInterrupt drops them. On exit no formatter is left running, and
+    if the caller dies without exiting, its formatters see their pipes close
+    and exit.
     """
     if formatters == 1:
         yield lambda *columns: _write_rows(out, *columns)
         return
+    import multiprocessing  # only runs that fork pay for the import
+
+    ctx = multiprocessing.get_context("fork")
     idle, pending, procs = [], deque(), []
-
-    def fork():
-        import multiprocessing  # only runs that fork pay for the import
-
-        ctx = multiprocessing.get_context("fork")
-        out.flush()  # a child must not inherit buffered bytes
-        for _ in range(formatters):
-            conn, child_end = ctx.Pipe()
-            proc = ctx.Process(target=_format_loop, args=(child_end,), daemon=True)
-            proc.start()
-            procs.append(proc)
-            child_end.close()
-            idle.append(conn)
 
     def write_oldest():
         conn = pending.popleft()
@@ -225,8 +228,6 @@ def _chunk_writer(out, formatters: int, fork_at_entry: bool):
         idle.append(conn)
 
     def write(*columns):
-        if not procs:
-            fork()
         if not idle:
             write_oldest()
         conn = idle.pop()
@@ -234,8 +235,15 @@ def _chunk_writer(out, formatters: int, fork_at_entry: bool):
         pending.append(conn)
 
     try:
-        if fork_at_entry:
-            fork()
+        out.flush()  # a child must not inherit buffered bytes
+        for _ in range(formatters):
+            conn, child_end = ctx.Pipe()
+            args = (child_end, [*idle, conn])
+            proc = ctx.Process(target=_format_loop, args=args, daemon=True)
+            proc.start()
+            procs.append(proc)
+            child_end.close()
+            idle.append(conn)
         try:
             yield write
         except Exception:
@@ -318,8 +326,7 @@ def cmd_sample(args) -> int:
         out.write(f"# params_hash={_params_hash(plan.params, plan.T)}\n")
         coords = ",".join(f"x{j + 1}" for j in range(P.d))
         out.write(f"index,{coords},tau,fallback,oracle_calls\n")
-        formatters = _formatter_count(plan.n_chunks)
-        with _chunk_writer(out, formatters, fork_at_entry=plan.workers > 1) as write:
+        with _chunk_writer(out, _formatter_count(plan.n_chunks)) as write:
             # each chunk is handed on as soon as it is made, then dropped
             start = 0
             for batch in plan.chunks():
@@ -485,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="draw N points to CSV")
     _add_common(sp)
-    formatting = "; CSV rows are formatted in one forked process per usable CPU"
+    formatting = "; CSV rows are formatted in forked processes, one per usable CPU, at most 2"
     _add_output(sp, workers=_WORKERS_HELP + formatting)
     sp.add_argument("--oracle", choices=("dikin", "exact"), default="dikin")
 

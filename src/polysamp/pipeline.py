@@ -182,7 +182,7 @@ def plan_sampling(
             output. Threads overlap only where numpy releases the GIL, so
             they save little time (README). They only sample: the CLI's
             ``sample`` formats its CSV in forked processes instead, one per
-            usable CPU, and those are forked before the first thread starts.
+            usable CPU and at most 2, forked before the first thread starts.
     """
     if n < 1:
         raise ConfigError("sample count must be at least 1")

@@ -1,14 +1,18 @@
 """CLI behavior: output formats, exit codes, and the determinism contract."""
 
+import contextlib
 import hashlib
 import io
 import math
 import multiprocessing
 import os
+import select
+import signal
 import stat
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -542,6 +546,15 @@ def _pin_cpus(monkeypatch, count: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+def test_formatter_count_rule(monkeypatch):
+    # F = min(usable CPUs, chunks, MAX_FORMATTERS); 1 formats in-process
+    _pin_cpus(monkeypatch, 8)
+    assert cli._formatter_count(100) == cli.MAX_FORMATTERS == 2
+    assert cli._formatter_count(1) == 1
+    _pin_cpus(monkeypatch, 1)
+    assert cli._formatter_count(100) == 1
+
+
 def test_sample_workers_bound_chunks_in_flight(square_file, tmp_path, capsys, monkeypatch):
     # in-process formatting: with 3 workers, no chunk may enter the
     # converter more than 3 chunks ahead of the chunk being written
@@ -652,10 +665,40 @@ def test_sample_pinned_bytes_through_a_pipe(square_file):
     assert hashlib.sha256(proc.stdout).hexdigest() == PINNED_SAMPLE_SHA256
 
 
+@pytest.mark.parametrize("signum", (signal.SIGTERM, signal.SIGKILL), ids=("TERM", "KILL"))
+def test_sample_killed_leaves_no_formatter_holding_stdout(signum, square_file):
+    # the command dies without running its cleanup: its formatters must see
+    # their pipes close and exit, or a reader of its stdout never sees EOF
+    argv = ["sample", "--polytope", str(square_file), *_SAMPLE_PINNED_ARGV, "--n", str(8 * CHUNK)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polysamp", *argv],
+        stdout=subprocess.PIPE,
+        start_new_session=True,  # its own process group, so any orphan can be killed below
+    )
+    try:
+        for line in proc.stdout:
+            if line[:1].isdigit():  # the first row: it is formatted, the pipe is full
+                break
+        proc.send_signal(signum)
+        proc.wait(timeout=60)
+        fd, deadline = proc.stdout.fileno(), time.monotonic() + 30
+        while True:
+            ready, _, _ = select.select([fd], [], [], max(0.0, deadline - time.monotonic()))
+            assert ready, "stdout still open 30 s after the command died"
+            if not os.read(fd, 1 << 16):
+                break
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.stdout.close()
+        proc.wait()
+
+
 # Runs ARGV with stdout to a pipe it drains, then prints the peak RSS (kB)
-# of the process tree below it. A fresh launcher keeps the readings apart
-# from the test process's own children and its high-water mark.
-_TREE_PEAK = """
+# of the largest process below it: RUSAGE_CHILDREN's ru_maxrss is the
+# largest single descendant's, not a sum over the tree. A fresh launcher
+# keeps the reading apart from the test process's own children.
+_LARGEST_PEAK = """
 import resource, subprocess, sys
 with subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE) as proc:
     while proc.stdout.read(1 << 16):
@@ -665,10 +708,10 @@ sys.exit(proc.returncode)
 """
 
 
-def _tree_peak_kb(square_file, n: int) -> int:
+def _largest_peak_kb(square_file, n: int) -> int:
     argv = ["sample", "--polytope", str(square_file), *_SAMPLE_PINNED_ARGV, "--n", str(n)]
     proc = subprocess.run(
-        [sys.executable, "-c", _TREE_PEAK, sys.executable, "-m", "polysamp", *argv],
+        [sys.executable, "-c", _LARGEST_PEAK, sys.executable, "-m", "polysamp", *argv],
         stdout=subprocess.PIPE,
         text=True,
         check=True,
@@ -677,11 +720,11 @@ def _tree_peak_kb(square_file, n: int) -> int:
     return int(proc.stdout)
 
 
-def test_sample_process_tree_memory_flat_in_n(square_file):
-    # peak RSS of the command and its formatters, read from the kernel:
-    # 16 times the rows must not mean a larger peak
-    small = _tree_peak_kb(square_file, 2 * CHUNK)
-    large = _tree_peak_kb(square_file, 32 * CHUNK)
+def test_sample_largest_process_memory_flat_in_n(square_file):
+    # peak RSS of the largest of the command and its formatters, read from
+    # the kernel: 16 times the rows must not mean a larger peak
+    small = _largest_peak_kb(square_file, 2 * CHUNK)
+    large = _largest_peak_kb(square_file, 32 * CHUNK)
     assert large <= 1.25 * small, (small, large)
 
 
