@@ -8,7 +8,8 @@ Commands:
     erm       run the private ERM pipeline on an instance file
 
 Exit codes: 0 ok, 2 configuration error, 3 contract violation (an internal
-invariant tripped at runtime, e.g. an oracle point outside the polytope).
+invariant tripped at runtime, e.g. an oracle point outside the polytope),
+141 the output's reader closed the pipe (128 + SIGPIPE, with no traceback).
 
 Every output file starts with comment lines carrying a config hash (over
 input file bytes and resolved options), the package version, and a hash of
@@ -24,6 +25,7 @@ import contextlib
 import hashlib
 import math
 import os
+import signal
 import stat
 import sys
 from collections import deque
@@ -35,7 +37,7 @@ from . import __version__, converter, dikin, dp, oracle
 from .density import parse_density
 from .errors import ConfigError, ContractViolation
 from .geometry import load_polytope
-from .pipeline import plan_sampling, rng_stream, run_sampling
+from .pipeline import plan_sampling, run_sampling
 
 DESK_CMIX = 1e-4
 ANALYSIS_CMIX = 1.0
@@ -53,14 +55,12 @@ def _file_digest(path) -> str:
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
-def _config_hash(args, extra: str = "") -> str:
+def _config_hash(args) -> str:
     digest = _file_digest(args.polytope) if args.polytope else "none"
     parts = [f"cmd={args.command}", f"polytope={digest}"]
     for key in ("density", "eps", "seed", "n", "cmix", "eta", "oracle", "bins"):
         if hasattr(args, key):
             parts.append(f"{key}={getattr(args, key)!r}")
-    if extra:
-        parts.append(extra)
     return _hash("|".join(parts))
 
 
@@ -69,6 +69,13 @@ def _params_hash(params: converter.ConverterParams, T) -> str:
         f"eps={params.eps!r}|delta={params.delta!r}|tau_max={params.tau_max}"
         f"|delta_log={params.delta_log!r}|T={T}"
     )
+
+
+def _write_header(out, args, params: converter.ConverterParams, T) -> None:
+    """The config hash, version and params hash lines that start every output."""
+    out.write(f"# config_hash={_config_hash(args)}\n")
+    out.write(f"# version={__version__}\n")
+    out.write(f"# params_hash={_params_hash(params, T)}\n")
 
 
 def _resolve_cmix(args, default: float) -> float:
@@ -186,8 +193,6 @@ def _format_loop(conn, parent_ends) -> None:
     parent_ends are the parent's pipe ends this process inherited, its own
     among them; they are closed first, else conn would never see EOF.
     """
-    import signal
-
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's to handle
     for end in parent_ends:
         end.close()
@@ -321,9 +326,7 @@ def cmd_sample(args) -> int:
             oracle=args.oracle,
             workers=args.workers,
         )
-        out.write(f"# config_hash={_config_hash(args)}\n")
-        out.write(f"# version={__version__}\n")
-        out.write(f"# params_hash={_params_hash(plan.params, plan.T)}\n")
+        _write_header(out, args, plan.params, plan.T)
         coords = ",".join(f"x{j + 1}" for j in range(P.d))
         out.write(f"index,{coords},tau,fallback,oracle_calls\n")
         with _chunk_writer(out, _formatter_count(plan.n_chunks)) as write:
@@ -370,9 +373,7 @@ def cmd_diagnose(args) -> int:
         # acceptance of the walk that made the draws (nan when no walk ran)
         acceptance = result.accepts / result.chain_steps if result.chain_steps else float("nan")
 
-        out.write(f"# config_hash={_config_hash(args)}\n")
-        out.write(f"# version={__version__}\n")
-        out.write(f"# params_hash={_params_hash(result.params, result.T)}\n")
+        _write_header(out, args, result.params, result.T)
         out.write(f"# n={args.n}\n")
         out.write(f"# oracle={result.oracle_kind}\n")
         out.write(f"# T={result.T}\n")
@@ -412,16 +413,12 @@ def cmd_erm(args) -> int:
     inst = dp.load_erm_instance(args.polytope)
     with _open_out(args.out) as out:
         c_mix = _resolve_cmix(args, ANALYSIS_CMIX)
-        batch = dp.private_erm_batch(
-            inst, rng_stream(args.seed, 0), args.n, c_mix=c_mix, eta=args.eta
-        )
+        batch = dp.private_erm_batch(inst, args.seed, args.n, c_mix=c_mix, eta=args.eta)
         csum = inst.losses.sum(axis=0)
         best = float(np.min(dp.enumerate_vertices(inst.polytope) @ csum))
         gaps = batch.thetas @ csum - best
 
-        out.write(f"# config_hash={_config_hash(args)}\n")
-        out.write(f"# version={__version__}\n")
-        out.write(f"# params_hash={_params_hash(batch.params, batch.T)}\n")
+        _write_header(out, args, batch.params, batch.T)
         out.write(f"# t_halt={batch.t_halt}\n")
         out.write(f"# eta={batch.eta!r}\n")
         out.write(f"# mean_gap={float(gaps.mean())!r}\n")
@@ -521,7 +518,19 @@ def main(argv=None) -> int:
         "erm": cmd_erm,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (``| head -1``): end as SIGPIPE would; if
+        # it was stdout's, drop what stdout buffers, or exit reports the flush
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 128 + signal.SIGPIPE
     except ValueError as exc:
         # ConfigError subclasses ValueError; bare ValueErrors reaching this
         # point are domain checks on argv-derived scalars (eps, n, seed, ...)

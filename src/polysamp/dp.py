@@ -7,10 +7,12 @@ most eps costs a second eps, so the end-to-end guarantee tested here is
 the 2 eps one. Losses are linear (l_i(theta) = c_i . theta) so the optimal
 value has an exact vertex-enumeration oracle.
 
+The mechanism density is sampled through ``pipeline.plan_sampling``, with
+the input checks, chunk streams and step-size tuner stream of ``sample``.
+
 A runtime cap keeps the sampling loop itself private: if the converter has
 not halted after ``halting_threshold(inst)`` oracle calls, the output is
-the polytope's inner-ball center (the origin after normalization) instead
-of a data-dependent point.
+the polytope's inner-ball center instead of a data-dependent point.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import converter, dikin
-from .density import LogDensity, exp_mechanism_density, shifted
+from . import converter, pipeline
+from .density import LogDensity, exp_mechanism_density
 from .errors import ConfigError
-from .geometry import Polytope, normalize, parse_polytope_lines
+from .geometry import Polytope, parse_polytope_lines
 
 __all__ = [
     "ErmInstance",
@@ -177,63 +179,47 @@ class ErmBatch:
         return self.thetas.shape[0]
 
 
-def _mechanism_setup(inst: ErmInstance, c_mix: float, eta, rng):
-    """Normalize, scale the loss sum, size the walk, and settle eta."""
-    Pn, translation = normalize(inst.polytope)
-    f_total = shifted(total_loss_density(inst), translation)
-    g = exp_mechanism_density(f_total, inst.eps_dp, inst.n * inst.L, Pn.R)
-    # the scaling must collapse to eps / (2R) no matter the dataset; anything
-    # else means the sensitivity bookkeeping above went wrong
-    assert math.isclose(g.L, inst.eps_dp / (2.0 * Pn.R), rel_tol=1e-12)
-    params = converter.compute_params(inst.eps_dp, g.L, Pn.r, Pn.R, Pn.d)
-    T = dikin.mixing_steps(Pn, g, inst.eps_dp, params.delta_log, c_mix)
-    if eta is None:
-        eta, _ = dikin.tune_eta(Pn, g, rng)
-    return Pn, translation, g, params, T, float(eta)
-
-
 def private_erm_batch(
     inst: ErmInstance,
-    rng: np.random.Generator,
+    seed: int,
     n_runs: int,
     c_mix: float = 1.0,
     eta: float | None = None,
 ) -> ErmBatch:
-    """n_runs independent private ERM draws sharing one walk configuration.
+    """n_runs independent private ERM draws; run j is a pure function of
+    (seed, j), drawn on the streams of ``sample``'s row j.
 
     c_mix defaults to 1 here (unlike the desk-scale sampling commands):
     the mechanism's scaled density is so flat that the full walk length is
     cheap, and privacy arguments want the real one.
     """
-    Pn, translation, g, params, T, eta = _mechanism_setup(inst, c_mix, eta, rng)
-    t_halt = halting_threshold(inst)
+    P = inst.polytope
+    g = exp_mechanism_density(total_loss_density(inst), inst.eps_dp, inst.n * inst.L, P.R)
+    # the scaling must collapse to eps / (2R) no matter the dataset; anything
+    # else means the sensitivity bookkeeping above went wrong
+    assert math.isclose(g.L, inst.eps_dp / (2.0 * P.R), rel_tol=1e-12)
+    plan = pipeline.plan_sampling(P, g, inst.eps_dp, n_runs, seed, c_mix, eta)
+    params, t_halt = plan.params, halting_threshold(inst)
     capped = t_halt < params.tau_max
-    run_params = replace(params, tau_max=t_halt) if capped else params
-    # the walk draws on its own Philox stream, keyed by two draws taken from
-    # rng: apart from the converter's draws and from any later call's walk
-    key = rng.integers(2**64, size=2, dtype=np.uint64)
-    pool = dikin.WalkPool(Pn, g, dikin.WalkConfig(eta=eta, T=T),
-                          np.random.Generator(np.random.Philox(key=key)))
-    batch = converter.convert_batch(Pn, pool, run_params, rng, n_runs)
+    if capped:
+        plan = replace(plan, params=replace(params, tau_max=t_halt))
+    rows = plan.collect()
 
-    points = batch.points.copy()
     kinds = np.full(n_runs, FALLBACK_NONE, dtype="<U6")
+    kinds[rows.fallback] = FALLBACK_CENTER if capped else FALLBACK_BALL
     if capped:
         # The cap fired: a data-independent output keeps the runtime private.
-        points[batch.fallback] = Pn.center
-        kinds[batch.fallback] = FALLBACK_CENTER
-    else:
-        kinds[batch.fallback] = FALLBACK_BALL
+        rows.points[rows.fallback] = plan.translation  # the inner-ball center
 
     return ErmBatch(
-        thetas=points + translation,
-        tau=batch.tau.copy(),
+        thetas=rows.points,
+        tau=rows.tau,
         fallback=kinds,
-        oracle_calls=batch.oracle_calls.copy(),
+        oracle_calls=rows.oracle_calls,
         t_halt=t_halt,
         params=params,
-        T=T,
-        eta=eta,
+        T=plan.T,
+        eta=plan.eta,
     )
 
 

@@ -13,8 +13,8 @@ returns a ``SamplingPlan``, whose ``chunks()`` runs the chunks and yields
 their rows in chunk order. A caller that handles each chunk as it comes
 holds O(workers * CHUNK) rows at a time, whatever n is; the CLI's ``sample``
 also keeps up to F chunks waiting on its F forked CSV formatters, so
-O((workers + F) * CHUNK). ``run_sampling`` collects every chunk into one
-``SamplingResult``.
+O((workers + F) * CHUNK). ``collect()`` gathers every chunk into one
+batch, for ``run_sampling`` and ``dp.private_erm_batch``.
 """
 
 from __future__ import annotations
@@ -120,6 +120,23 @@ class SamplingPlan:
             self.chain_steps += getattr(oracle_batch, "chain_steps", 0)
             self.accepts += getattr(oracle_batch, "accepts", 0)
             yield batch
+
+    def collect(self) -> converter.SampleBatch:
+        """Run the chunks and return all n rows in original coordinates,
+        filled into one preallocated array per column."""
+        points = np.empty((self.n, self.polytope.d))
+        tau = np.empty(self.n, dtype=np.int64)
+        fallback = np.empty(self.n, dtype=bool)
+        oracle_calls = np.empty(self.n, dtype=np.int64)
+        start = 0
+        for batch in self.chunks():
+            sl = slice(start, start + len(batch))
+            points[sl] = batch.points
+            tau[sl] = batch.tau
+            fallback[sl] = batch.fallback
+            oracle_calls[sl] = batch.oracle_calls
+            start = sl.stop
+        return converter.SampleBatch(points, tau, fallback, oracle_calls)
 
 
 @dataclass
@@ -244,30 +261,15 @@ def run_sampling(
     workers: int = 1,
     chunk: int = CHUNK,
 ) -> SamplingResult:
-    """Draw n samples with infinity-distance target eps, all in memory.
-
-    Takes the arguments of ``plan_sampling`` and fills one preallocated
-    array per column from the plan's chunks.
-    """
+    """Draw n samples with infinity-distance target eps, all in memory: the
+    rows of ``plan_sampling(...).collect()``, with the plan's settings."""
     plan = plan_sampling(P, f, eps, n, seed, c_mix, eta, oracle, workers, chunk)
-    points = np.empty((n, plan.polytope.d))
-    tau = np.empty(n, dtype=np.int64)
-    fallback = np.empty(n, dtype=bool)
-    oracle_calls = np.empty(n, dtype=np.int64)
-    start = 0
-    for batch in plan.chunks():
-        sl = slice(start, start + len(batch))
-        points[sl] = batch.points
-        tau[sl] = batch.tau
-        fallback[sl] = batch.fallback
-        oracle_calls[sl] = batch.oracle_calls
-        start = sl.stop
-
+    rows = plan.collect()
     return SamplingResult(
-        points=points,
-        tau=tau,
-        fallback=fallback,
-        oracle_calls=oracle_calls,
+        points=rows.points,
+        tau=rows.tau,
+        fallback=rows.fallback,
+        oracle_calls=rows.oracle_calls,
         params=plan.params,
         translation=plan.translation,
         polytope=plan.polytope,

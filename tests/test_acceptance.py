@@ -211,7 +211,7 @@ def test_criterion_07_parameter_schedule():
 def test_criterion_08_dp_erm_utility(erm_file):
     t0 = time.perf_counter()
     inst = dp.load_erm_instance(erm_file)
-    batch = dp.private_erm_batch(inst, np.random.default_rng(2108), 10**4)
+    batch = dp.private_erm_batch(inst, seed=2108, n_runs=10**4)
     csum = inst.losses.sum(axis=0)
     best = float(np.min(dp.enumerate_vertices(inst.polytope) @ csum))
     gaps = batch.thetas @ csum - best
@@ -237,8 +237,8 @@ def test_criterion_09_dp_distributional_surrogate():
     b = dp.ErmInstance(K, flipped, L=1.0, eps_dp=EPS)
 
     n = 10**5
-    ta = dp.private_erm_batch(a, np.random.default_rng(2109), n).thetas
-    tb = dp.private_erm_batch(b, np.random.default_rng(2110), n).thetas
+    ta = dp.private_erm_batch(a, seed=2109, n_runs=n).thetas
+    tb = dp.private_erm_batch(b, seed=2110, n_runs=n).thetas
 
     grid = oracle.CellGrid(
         lo=np.array([-1.0]), hi=np.array([1.0]), nbins=np.array([10]), masses=np.full(10, 0.1)

@@ -6,7 +6,9 @@ import io
 import math
 import multiprocessing
 import os
+import re
 import select
+import shlex
 import signal
 import stat
 import subprocess
@@ -14,6 +16,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -694,6 +697,50 @@ def test_sample_killed_leaves_no_formatter_holding_stdout(signum, square_file):
         proc.wait()
 
 
+# Runs the CLI as ``python -m polysamp`` does, on the arguments after the
+# first, which sets the usable CPU count the way _pin_cpus does in-process.
+_PINNED_ENTRY = """
+import os, sys
+count = int(sys.argv.pop(1))
+os.sched_getaffinity = lambda pid: set(range(count))
+from polysamp import cli
+cli.entry()
+"""
+
+
+@pytest.mark.parametrize("buffering", ("", "1"), ids=("buffered", "unbuffered"))
+@pytest.mark.parametrize(
+    "command, cpus", [("sample", 2), ("sample", 1), ("erm", 2)], ids=("sample-F2", "sample-F1", "erm")
+)
+def test_closed_stdout_ends_quietly(command, cpus, buffering, square_file, erm_file):
+    # ``polysamp ... | head -1``: once the reader closes the pipe, the command
+    # exits 141 (128 + SIGPIPE) with nothing on stderr, not even Python's
+    # note on a failed flush at exit, and reaps its formatters first
+    if command == "sample":
+        argv = ["sample", "--polytope", str(square_file), *_SAMPLE_PINNED_ARGV, "--n", str(8 * CHUNK)]
+    else:
+        argv = ["erm", "--polytope", str(erm_file), "--n", "4000"]  # ~280 kB, more than a pipe holds
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _PINNED_ENTRY, str(cpus), *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONUNBUFFERED": buffering},
+        start_new_session=True,  # its own process group, to look for formatters left behind
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"# config_hash=")
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # no process of the command's group is left
+        assert proc.stderr.read() == b""
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.stderr.close()
+        proc.wait()
+
+
 # Runs ARGV with stdout to a pipe it drains, then prints the peak RSS (kB)
 # of the largest process below it: RUSAGE_CHILDREN's ru_maxrss is the
 # largest single descendant's, not a sum over the tree. A fresh launcher
@@ -890,13 +937,30 @@ def test_erm_readme_example(erm_file, capsys):
     assert comments["params_hash"] == "1c76714e8ed4d2cf"
     assert comments["t_halt"] == "11"
     assert comments["eta"] == "1.6"
-    assert comments["mean_gap"] == "4.32350279681331"
+    assert comments["mean_gap"] == "7.00439873543491"
     assert out.endswith(
         "index,theta1,tau,fallback,oracle_calls,gap\n"
-        "0,-0.18886373306566764,2,none,2,4.055681334671662\n"
-        "1,-0.774174755588547,2,none,2,1.1291262220572653\n"
-        "2,0.5571401667422005,1,none,1,7.785700833711003\n"
+        "0,0.7582804460411408,2,none,2,8.791402230205705\n"
+        "1,0.05735276780775023,1,none,1,5.286763839038751\n"
+        "2,0.38700602741205464,1,none,1,6.935030137060274\n"
     )
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--seed", "-1"), ("--seed", str(2**63)), ("--n", "0")],
+)
+def test_erm_refuses_what_sample_refuses(flag, value, square_file, erm_file, tmp_path, capsys):
+    # erm runs through plan_sampling, so it refuses these with sample's
+    # message, exit 2 and no --out file
+    sample = ["sample", "--polytope", str(square_file), "--eps", "0.5", "--oracle", "exact"]
+    code, _, want = run_cli([*sample, flag, value], capsys)
+    assert code == 2
+    out = tmp_path / "erm.csv"
+    code, _, err = run_cli(["erm", "--polytope", str(erm_file), flag, value, "--out", str(out)], capsys)
+    assert code == 2
+    assert err == want
+    assert sorted(tmp_path.iterdir()) == sorted([square_file, erm_file])
 
 
 def test_erm_requires_instance_file(capsys):
@@ -1049,3 +1113,35 @@ def test_module_entry_point(seg_file):
     )
     assert proc.returncode == 0
     assert "tau_max = 14" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples_run_verbatim(tmp_path, capsys, monkeypatch):
+    # every ``$ polysamp`` example, run on the square.txt and instance.txt
+    # the README's File formats section gives (comment lines and all), must
+    # print what the README shows; a "..." or "# ..." line stands for lines
+    # left out
+    blocks = re.findall(r"^```\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
+    for name, first_line in (("square.txt", "# the square"), ("instance.txt", "# feasible set")):
+        (tmp_path / name).write_text(next(b for b in blocks if b.startswith(first_line)))
+    monkeypatch.chdir(tmp_path)
+    examples = [b for b in blocks if b.startswith("$ polysamp ")]
+    commands = []
+    for block in examples:
+        command, shown = re.fullmatch(r"\$ polysamp ((?:.*\\\n)*.*\n)((?s:.*))", block).groups()
+        argv = shlex.split(command.replace("\\\n", ""))
+        commands.append(argv[0])
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0, argv
+        pattern = "".join(
+            r"(?:.*\n)*?" if line in ("...", "# ...") else re.escape(line) + r"\n"
+            for line in shown.splitlines()
+        )
+        assert re.fullmatch(pattern, out), (argv, out)
+    assert commands == ["params", "sample", "diagnose", "erm"]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from polysamp import dikin, oracle
+from polysamp import oracle
 from polysamp.dp import (
     FALLBACK_BALL,
     FALLBACK_CENTER,
@@ -19,6 +19,7 @@ from polysamp.dp import (
 )
 from polysamp.errors import ConfigError
 from polysamp.geometry import box, contains_many
+from polysamp.pipeline import CHUNK
 
 import helpers
 from helpers import contains, utility_gap
@@ -149,7 +150,7 @@ def test_halting_threshold(n, d, eps, want):
 
 def test_private_erm_single_run(erm_file):
     inst = load_erm_instance(erm_file)
-    run = private_erm_batch(inst, np.random.default_rng(11), 1)
+    run = private_erm_batch(inst, seed=11, n_runs=1)
     assert len(run) == 1
     assert contains(inst.polytope, run.thetas[0])
     assert run.t_halt == 11
@@ -165,14 +166,14 @@ def test_private_erm_single_run(erm_file):
 
 def test_private_erm_deterministic(erm_file):
     inst = load_erm_instance(erm_file)
-    a = private_erm_batch(inst, np.random.default_rng(12), 1, eta=1.5).thetas
-    b = private_erm_batch(inst, np.random.default_rng(12), 1, eta=1.5).thetas
+    a = private_erm_batch(inst, seed=12, n_runs=1, eta=1.5).thetas
+    b = private_erm_batch(inst, seed=12, n_runs=1, eta=1.5).thetas
     assert np.array_equal(a, b)
 
 
 def test_private_erm_batch_kinds_and_support(erm_file):
     inst = load_erm_instance(erm_file)
-    batch = private_erm_batch(inst, np.random.default_rng(13), 2000, eta=1.5)
+    batch = private_erm_batch(inst, seed=13, n_runs=2000, eta=1.5)
     assert len(batch) == 2000
     assert np.all(contains_many(inst.polytope, batch.thetas))
     kinds = set(batch.fallback.tolist())
@@ -186,38 +187,28 @@ def test_private_erm_batch_kinds_and_support(erm_file):
     assert np.all(batch.tau[live] == batch.oracle_calls[live])
 
 
-def test_private_erm_batch_walks_apart_across_calls(erm_file, monkeypatch):
-    """Back-to-back calls on one rng walk on unrelated streams: the second
-    call's pool opens with draws found nowhere in the first pool's stream."""
-    states = []
+ERM_COLUMNS = ("thetas", "tau", "fallback", "oracle_calls")
 
-    class RecordingPool(dikin.WalkPool):
-        def __init__(self, P, f, cfg, rng):
-            states.append(rng.bit_generator.state)
-            super().__init__(P, f, cfg, rng)
 
-    monkeypatch.setattr(dikin, "WalkPool", RecordingPool)
+def test_private_erm_batch_tuner_stays_off_the_output_streams(erm_file):
+    # eta is tuned on the reserved tuner stream, so a run that tunes eta
+    # emits the same rows as a run handed the eta it tuned
     inst = load_erm_instance(erm_file)
-    rng = np.random.default_rng(19)
-    for _ in range(2):
-        private_erm_batch(inst, rng, 500, eta=1.5)
-
-    def raw(state, k):
-        bit_generator = getattr(np.random, state["bit_generator"])()
-        bit_generator.state = state
-        return bit_generator.random_raw(k)
-
-    # 2**20 raw draws cover the first call's whole walk (about 500 * 2
-    # chains * T=56 steps, a few draws each)
-    first, second = raw(states[0], 2**20), raw(states[1], 8)
-    assert not np.isin(second, first).any()
+    tuned = private_erm_batch(inst, seed=19, n_runs=500)
+    given = private_erm_batch(inst, seed=19, n_runs=500, eta=tuned.eta)
+    for name in ERM_COLUMNS:
+        assert np.array_equal(getattr(tuned, name), getattr(given, name)), name
 
 
-def test_private_erm_batch_any_bit_generator(erm_file):
+def test_private_erm_batch_full_chunk_independent_of_n(erm_file):
+    # runs live on their chunk's streams: a full chunk's rows depend on the
+    # seed and the chunk index, not on how many runs follow it
     inst = load_erm_instance(erm_file)
-    rng = np.random.Generator(np.random.SFC64(20))
-    batch = private_erm_batch(inst, rng, 50, eta=1.5)
-    assert np.all(contains_many(inst.polytope, batch.thetas))
+    one = private_erm_batch(inst, seed=20, n_runs=CHUNK)
+    more = private_erm_batch(inst, seed=20, n_runs=CHUNK + 37)
+    assert len(more) == CHUNK + 37
+    for name in ERM_COLUMNS:
+        assert np.array_equal(getattr(one, name), getattr(more, name)[:CHUNK]), name
 
 
 def test_private_erm_capped_center_fallback():
@@ -230,7 +221,7 @@ def test_private_erm_capped_center_fallback():
         eps_dp=0.5,
     )
     t_halt = halting_threshold(inst)
-    batch = private_erm_batch(inst, np.random.default_rng(14), 20000, eta=1.5)
+    batch = private_erm_batch(inst, seed=14, n_runs=20000, eta=1.5)
     assert batch.params.tau_max > t_halt  # 14 > 11: the cap is active
     capped = batch.fallback == FALLBACK_CENTER
     assert capped.sum() >= 1  # survival ~ 2^-11 over 20000 runs
@@ -249,7 +240,7 @@ def test_private_erm_zero_losses_is_near_uniform():
         L=1.0,
         eps_dp=0.5,
     )
-    batch = private_erm_batch(inst, np.random.default_rng(15), 20000, eta=1.5)
+    batch = private_erm_batch(inst, seed=15, n_runs=20000, eta=1.5)
     grid = oracle.cell_masses(inst.polytope, total_loss_density(inst), 10)
     res = oracle.sup_log_ratio(batch.thetas, grid)
     assert res.passes(extra=inst.eps_dp, sigmas=3.0)
@@ -266,8 +257,8 @@ def test_neighboring_instances_log_ratio_smoke():
     b = ErmInstance(K, flipped, L=1.0, eps_dp=eps)
 
     n = 10000
-    ta = private_erm_batch(a, np.random.default_rng(16), n, eta=1.5).thetas
-    tb = private_erm_batch(b, np.random.default_rng(17), n, eta=1.5).thetas
+    ta = private_erm_batch(a, seed=16, n_runs=n, eta=1.5).thetas
+    tb = private_erm_batch(b, seed=17, n_runs=n, eta=1.5).thetas
 
     lo, hi = np.array([-1.0]), np.array([1.0])
     grid = oracle.CellGrid(lo=lo, hi=hi, nbins=np.array([5]), masses=np.full(5, 0.2))
