@@ -362,22 +362,22 @@ def cmd_diagnose(args) -> int:
             oracle=args.oracle,
             workers=args.workers,
         )
+        plan = result.plan
         bins = args.bins if args.bins is not None else {1: 50, 2: 20, 3: 6}[P.d]
-        grid = oracle.cell_masses(result.polytope, result.density, bins)
-        normalized = result.points - result.translation
-        counts = oracle.histogram_counts(normalized, grid)
-        report = oracle.sup_log_ratio(normalized, grid)
-        tv = oracle.tv_estimate(normalized, grid)
-        stats = converter.tau_statistics(result.batch(), eps=args.eps)
+        grid = oracle.cell_masses(P, f, bins)
+        counts = oracle.histogram_counts(result.points, grid)
+        report = oracle.sup_log_ratio(result.points, grid)
+        tv = oracle.tv_estimate(result.points, grid)
+        stats = converter.tau_statistics(result.tau, eps=args.eps)
 
         # acceptance of the walk that made the draws (nan when no walk ran)
-        acceptance = result.accepts / result.chain_steps if result.chain_steps else float("nan")
+        acceptance = plan.accepts / plan.chain_steps if plan.chain_steps else float("nan")
 
-        _write_header(out, args, result.params, result.T)
+        _write_header(out, args, plan.params, plan.T)
         out.write(f"# n={args.n}\n")
-        out.write(f"# oracle={result.oracle_kind}\n")
-        out.write(f"# T={result.T}\n")
-        out.write(f"# eta={result.eta!r}\n")
+        out.write(f"# oracle={args.oracle}\n")
+        out.write(f"# T={plan.T}\n")
+        out.write(f"# eta={plan.eta!r}\n")
         out.write(f"# acceptance={acceptance!r}\n")
         out.write(f"# tv_estimate={tv!r}\n")
         out.write(f"# sup_log_ratio={report.stat!r}\n")
@@ -411,26 +411,27 @@ def cmd_diagnose(args) -> int:
 
 def cmd_erm(args) -> int:
     inst = dp.load_erm_instance(args.polytope)
+    # enumeration refuses d > 3, so it comes before the walk, not after it
+    csum = inst.losses.sum(axis=0)
+    best = float(np.min(dp.enumerate_vertices(inst.polytope) @ csum))
     with _open_out(args.out) as out:
         c_mix = _resolve_cmix(args, ANALYSIS_CMIX)
-        batch = dp.private_erm_batch(inst, args.seed, args.n, c_mix=c_mix, eta=args.eta)
-        csum = inst.losses.sum(axis=0)
-        best = float(np.min(dp.enumerate_vertices(inst.polytope) @ csum))
-        gaps = batch.thetas @ csum - best
+        result = dp.private_erm_batch(inst, args.seed, args.n, c_mix=c_mix, eta=args.eta)
+        gaps = result.points @ csum - best
 
-        _write_header(out, args, batch.params, batch.T)
-        out.write(f"# t_halt={batch.t_halt}\n")
-        out.write(f"# eta={batch.eta!r}\n")
+        _write_header(out, args, result.plan.params, result.plan.T)
+        out.write(f"# t_halt={dp.halting_threshold(inst)}\n")
+        out.write(f"# eta={result.plan.eta!r}\n")
         out.write(f"# mean_gap={float(gaps.mean())!r}\n")
         coords = ",".join(f"theta{j + 1}" for j in range(inst.d))
         out.write(f"index,{coords},tau,fallback,oracle_calls,gap\n")
         _write_rows(
             out,
-            np.arange(len(batch)),
-            *batch.thetas.T,
-            batch.tau,
-            batch.fallback,
-            batch.oracle_calls,
+            np.arange(len(result)),
+            *result.points.T,
+            result.tau,
+            result.fallback,
+            result.oracle_calls,
             gaps,
         )
     return 0

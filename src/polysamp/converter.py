@@ -63,7 +63,7 @@ class SampleBatch:
 
     points: np.ndarray        # (n, d)
     tau: np.ndarray           # (n,) int, halting iteration (tau_max+1 on fallback)
-    fallback: np.ndarray      # (n,) bool
+    fallback: np.ndarray      # (n,) bool; erm's rows hold none/ball/center labels
     oracle_calls: np.ndarray  # (n,) int
 
     def __len__(self) -> int:

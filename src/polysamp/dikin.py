@@ -87,8 +87,8 @@ def mixing_steps(P: Polytope, f: LogDensity, eps: float, delta_log: float, c_mix
     """
     if not (eps > 0):
         raise ValueError("eps must be positive")
-    if not (c_mix > 0):
-        raise ValueError("c_mix must be positive")
+    if not (0 < c_mix < math.inf):
+        raise ValueError(f"c_mix must be finite and positive, got {c_mix!r}")
     if not np.isfinite(delta_log):
         raise ValueError("delta_log must be finite")
     d, m = P.d, P.m

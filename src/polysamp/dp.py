@@ -8,7 +8,10 @@ the 2 eps one. Losses are linear (l_i(theta) = c_i . theta) so the optimal
 value has an exact vertex-enumeration oracle.
 
 The mechanism density is sampled through ``pipeline.plan_sampling``, with
-the input checks, chunk streams and step-size tuner stream of ``sample``.
+the input checks, chunk streams and step-size tuner stream of ``sample``,
+and ``private_erm_batch`` returns that run's ``SamplingResult``: its
+points are the thetas, its fallback column holds labels, and its plan
+holds the (capped) schedule, T and eta.
 
 A runtime cap keeps the sampling loop itself private: if the converter has
 not halted after ``halting_threshold(inst)`` oracle calls, the output is
@@ -25,14 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import converter, pipeline
+from . import pipeline
 from .density import LogDensity, exp_mechanism_density
 from .errors import ConfigError
 from .geometry import Polytope, parse_polytope_lines
 
 __all__ = [
     "ErmInstance",
-    "ErmBatch",
     "load_erm_instance",
     "total_loss_density",
     "halting_threshold",
@@ -161,33 +163,19 @@ FALLBACK_BALL = "ball"
 FALLBACK_CENTER = "center"
 
 
-@dataclass
-class ErmBatch:
-    """Results of private ERM runs: thetas in original coordinates, aligned
-    per-run telemetry arrays, and the settings the runs shared."""
-
-    thetas: np.ndarray
-    tau: np.ndarray
-    fallback: np.ndarray  # '<U6' array of none/ball/center
-    oracle_calls: np.ndarray
-    t_halt: int
-    params: converter.ConverterParams
-    T: int
-    eta: float
-
-    def __len__(self) -> int:
-        return self.thetas.shape[0]
-
-
 def private_erm_batch(
     inst: ErmInstance,
     seed: int,
     n_runs: int,
     c_mix: float = 1.0,
     eta: float | None = None,
-) -> ErmBatch:
+) -> pipeline.SamplingResult:
     """n_runs independent private ERM draws; run j is a pure function of
     (seed, j), drawn on the streams of ``sample``'s row j.
+
+    The rows' fallback column holds FALLBACK_NONE, FALLBACK_BALL or, where
+    the runtime cap fired, FALLBACK_CENTER; ``result.plan`` carries the
+    schedule the runs used, whose tau_max is at most ``halting_threshold``.
 
     c_mix defaults to 1 here (unlike the desk-scale sampling commands):
     the mechanism's scaled density is so flat that the full walk length is
@@ -199,28 +187,19 @@ def private_erm_batch(
     # else means the sensitivity bookkeeping above went wrong
     assert math.isclose(g.L, inst.eps_dp / (2.0 * P.R), rel_tol=1e-12)
     plan = pipeline.plan_sampling(P, g, inst.eps_dp, n_runs, seed, c_mix, eta)
-    params, t_halt = plan.params, halting_threshold(inst)
-    capped = t_halt < params.tau_max
+    t_halt = halting_threshold(inst)
+    capped = t_halt < plan.params.tau_max
     if capped:
-        plan = replace(plan, params=replace(params, tau_max=t_halt))
-    rows = plan.collect()
+        plan = replace(plan, params=replace(plan.params, tau_max=t_halt))
+    result = plan.collect()
 
     kinds = np.full(n_runs, FALLBACK_NONE, dtype="<U6")
-    kinds[rows.fallback] = FALLBACK_CENTER if capped else FALLBACK_BALL
+    kinds[result.fallback] = FALLBACK_CENTER if capped else FALLBACK_BALL
     if capped:
         # The cap fired: a data-independent output keeps the runtime private.
-        rows.points[rows.fallback] = plan.translation  # the inner-ball center
-
-    return ErmBatch(
-        thetas=rows.points,
-        tau=rows.tau,
-        fallback=kinds,
-        oracle_calls=rows.oracle_calls,
-        t_halt=t_halt,
-        params=params,
-        T=plan.T,
-        eta=plan.eta,
-    )
+        result.points[result.fallback] = plan.translation  # the inner-ball center
+    result.fallback = kinds
+    return result
 
 
 # ---------------------------------------------------------------------------

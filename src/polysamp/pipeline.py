@@ -14,7 +14,9 @@ their rows in chunk order. A caller that handles each chunk as it comes
 holds O(workers * CHUNK) rows at a time, whatever n is; the CLI's ``sample``
 also keeps up to F chunks waiting on its F forked CSV formatters, so
 O((workers + F) * CHUNK). ``collect()`` gathers every chunk into one
-batch, for ``run_sampling`` and ``dp.private_erm_batch``.
+``SamplingResult``: the rows, with the plan that made them attached, so a
+run's settings (params, T, eta) and walk counters live on the plan alone.
+``run_sampling`` and ``dp.private_erm_batch`` return it.
 """
 
 from __future__ import annotations
@@ -87,7 +89,6 @@ class SamplingPlan:
     chunk_oracle: Callable[[int], Callable] = field(repr=False)
     T: int | None = None
     eta: float | None = None
-    tune_acceptance: float | None = None
     chain_steps: int = 0
     accepts: int = 0
 
@@ -121,9 +122,9 @@ class SamplingPlan:
             self.accepts += getattr(oracle_batch, "accepts", 0)
             yield batch
 
-    def collect(self) -> converter.SampleBatch:
+    def collect(self) -> SamplingResult:
         """Run the chunks and return all n rows in original coordinates,
-        filled into one preallocated array per column."""
+        filled into one preallocated array per column, with this plan."""
         points = np.empty((self.n, self.polytope.d))
         tau = np.empty(self.n, dtype=np.int64)
         fallback = np.empty(self.n, dtype=bool)
@@ -136,46 +137,16 @@ class SamplingPlan:
             fallback[sl] = batch.fallback
             oracle_calls[sl] = batch.oracle_calls
             start = sl.stop
-        return converter.SampleBatch(points, tau, fallback, oracle_calls)
+        return SamplingResult(points, tau, fallback, oracle_calls, plan=self)
 
 
 @dataclass
-class SamplingResult:
-    """What a sampling run produced, plus everything needed to audit it.
+class SamplingResult(converter.SampleBatch):
+    """Every row of a run, in the caller's original coordinates, and the
+    plan that made them: its params, T and eta, and its walk counters for
+    these rows."""
 
-    points are in the caller's original coordinates; tau, fallback and
-    oracle_calls align with them row by row. chain_steps and accepts sum
-    the walk work of every chunk (both 0 for the exact oracle).
-    """
-
-    points: np.ndarray
-    tau: np.ndarray
-    fallback: np.ndarray
-    oracle_calls: np.ndarray
-    params: converter.ConverterParams
-    translation: np.ndarray
-    polytope: Polytope  # normalized
-    density: LogDensity  # shifted to normalized coordinates
-    oracle_kind: str
-    seed: int
-    c_mix: float
-    T: int | None = None
-    eta: float | None = None
-    tune_acceptance: float | None = None
-    chain_steps: int = 0
-    accepts: int = 0
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def batch(self) -> converter.SampleBatch:
-        """Telemetry view in normalized coordinates (for tau_statistics)."""
-        return converter.SampleBatch(
-            points=self.points - self.translation,
-            tau=self.tau,
-            fallback=self.fallback,
-            oracle_calls=self.oracle_calls,
-        )
+    plan: SamplingPlan
 
 
 def plan_sampling(
@@ -212,11 +183,11 @@ def plan_sampling(
     fn = shifted(f, translation)
     params = converter.compute_params(eps, fn.L, Pn.r, Pn.R, Pn.d)
 
-    T = eta_used = acc = None
+    T = eta_used = None
     if oracle == "dikin":
         T = dikin.mixing_steps(Pn, fn, eps, params.delta_log, c_mix)
         if eta is None:
-            eta_used, acc = dikin.tune_eta(Pn, fn, rng_stream(seed, AUX_STREAM))
+            eta_used, _ = dikin.tune_eta(Pn, fn, rng_stream(seed, AUX_STREAM))
         else:
             eta_used = float(eta)
         cfg = dikin.WalkConfig(eta=eta_used, T=T)
@@ -245,7 +216,6 @@ def plan_sampling(
         chunk_oracle=chunk_oracle,
         T=T,
         eta=eta_used,
-        tune_acceptance=acc,
     )
 
 
@@ -261,25 +231,5 @@ def run_sampling(
     workers: int = 1,
     chunk: int = CHUNK,
 ) -> SamplingResult:
-    """Draw n samples with infinity-distance target eps, all in memory: the
-    rows of ``plan_sampling(...).collect()``, with the plan's settings."""
-    plan = plan_sampling(P, f, eps, n, seed, c_mix, eta, oracle, workers, chunk)
-    rows = plan.collect()
-    return SamplingResult(
-        points=rows.points,
-        tau=rows.tau,
-        fallback=rows.fallback,
-        oracle_calls=rows.oracle_calls,
-        params=plan.params,
-        translation=plan.translation,
-        polytope=plan.polytope,
-        density=plan.density,
-        oracle_kind=oracle,
-        seed=seed,
-        c_mix=c_mix,
-        T=plan.T,
-        eta=plan.eta,
-        tune_acceptance=plan.tune_acceptance,
-        chain_steps=plan.chain_steps,
-        accepts=plan.accepts,
-    )
+    """Draw n samples with infinity-distance target eps, all in memory."""
+    return plan_sampling(P, f, eps, n, seed, c_mix, eta, oracle, workers, chunk).collect()

@@ -135,11 +135,11 @@ def test_criterion_03_dikin_tv_diagnostic():
 def test_criterion_04_end_to_end_infinity_distance(exact_run, dikin_run):
     grid = oracle.cell_masses(SEG, F_SEG, 50)
 
-    res_exact = oracle.sup_log_ratio(exact_run.batch().points, grid)
+    res_exact = oracle.sup_log_ratio(exact_run.points, grid)
     ok_exact = res_exact.passes(extra=EPS, sigmas=3.0) and not res_exact.excluded
 
-    assert dikin_run.T == 5000  # the frozen C_mix must land exactly on T=5000
-    res_walk = oracle.sup_log_ratio(dikin_run.batch().points, grid)
+    assert dikin_run.plan.T == 5000  # the frozen C_mix must land exactly on T=5000
+    res_walk = oracle.sup_log_ratio(dikin_run.points, grid)
     ok_walk = res_walk.passes(extra=EPS, sigmas=3.0) and not res_walk.excluded
 
     in_time = RUN_SECONDS["exact"] < 180.0 and RUN_SECONDS["dikin"] < 180.0
@@ -154,7 +154,7 @@ def test_criterion_04_end_to_end_infinity_distance(exact_run, dikin_run):
 
 
 def test_criterion_05_tau_law(dikin_run):
-    stats = converter.tau_statistics(dikin_run.batch(), eps=EPS)
+    stats = converter.tau_statistics(dikin_run, eps=EPS)
     ok = stats.mean <= 3.0 and stats.sandwich_ok and bool(stats.pmf_ok)
     report(
         5,
@@ -166,7 +166,7 @@ def test_criterion_05_tau_law(dikin_run):
 
 
 def test_criterion_06_halt_probability_bound(exact_run):
-    p = exact_run.params
+    p = exact_run.plan.params
     # per-iteration halt bound 1/2 * [(1-Delta)^d e^{-2 L Delta R}]^2 - 0.02
     bound = 0.5 * ((1.0 - p.delta) * math.exp(-2.0 * 1.0 * p.delta * 2.0)) ** 2 - 0.02
     assert bound == pytest.approx(0.4798256436382709, rel=0, abs=1e-15)
@@ -214,7 +214,7 @@ def test_criterion_08_dp_erm_utility(erm_file):
     batch = dp.private_erm_batch(inst, seed=2108, n_runs=10**4)
     csum = inst.losses.sum(axis=0)
     best = float(np.min(dp.enumerate_vertices(inst.polytope) @ csum))
-    gaps = batch.thetas @ csum - best
+    gaps = batch.points @ csum - best
     gap_exact = inst.n * (1.0 + helpers.mech_mean_symmetric(0.25))
     assert gap_exact == pytest.approx(4.585059174632016, rel=1e-12)
     sigma = float(gaps.std(ddof=1)) / math.sqrt(gaps.size)
@@ -237,8 +237,8 @@ def test_criterion_09_dp_distributional_surrogate():
     b = dp.ErmInstance(K, flipped, L=1.0, eps_dp=EPS)
 
     n = 10**5
-    ta = dp.private_erm_batch(a, seed=2109, n_runs=n).thetas
-    tb = dp.private_erm_batch(b, seed=2110, n_runs=n).thetas
+    ta = dp.private_erm_batch(a, seed=2109, n_runs=n).points
+    tb = dp.private_erm_batch(b, seed=2110, n_runs=n).points
 
     grid = oracle.CellGrid(
         lo=np.array([-1.0]), hi=np.array([1.0]), nbins=np.array([10]), masses=np.full(10, 0.1)

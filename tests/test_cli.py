@@ -843,7 +843,7 @@ def test_diagnose_acceptance_reads_walk_counters(seg_file, capsys, monkeypatch):
         acceptance[oracle] = float(parse_csv(out)[0]["acceptance"])
     walk = results[0]
     assert 0.0 < acceptance["dikin"] < 1.0
-    assert acceptance["dikin"] == walk.accepts / walk.chain_steps
+    assert acceptance["dikin"] == walk.plan.accepts / walk.plan.chain_steps
     assert math.isnan(acceptance["exact"])
 
 
@@ -881,15 +881,37 @@ def test_diagnose_readme_example(square_file, capsys):
         assert line in lines
 
 
-def test_diagnose_dimension_guard(tmp_path, capsys):
-    p = tmp_path / "cube4.txt"
+def test_diagnose_cells_in_input_coordinates(tmp_path, capsys):
+    # on the off-centre square [1, 3]^2 the cell midpoints are where sample
+    # writes its points, and every row lands in a cell
+    p = tmp_path / "off_centre.txt"
+    p.write_text("2 4 1.0 2.0\n1 0 3\n-1 0 -1\n0 1 3\n0 -1 -1\n2 2\n")
+    argv = ["diagnose", "--polytope", str(p), "--density", "linear:1,0", "--eps", "0.5"]
+    code, out, _ = run_cli([*argv, "--n", "4000", "--oracle", "exact", "--bins", "4"], capsys)
+    assert code == 0
+    comments, header, rows = parse_csv(out)
+    assert header[1:3] == ["mid1", "mid2"]
+    mids = np.array([[float(r[1]), float(r[2])] for r in rows])
+    assert np.all((1.0 < mids) & (mids < 3.0))
+    assert sum(int(r[4]) for r in rows) == 4000
+    assert comments["oracle"] == "exact"
+    assert float(comments["sup_log_ratio"]) <= 0.5
+
+
+def _cube4_lines() -> str:
+    """The polytope block of the cube [-1, 1]^4."""
     rows = []
     for j in range(4):
         for s in (1, -1):
             row = ["0"] * 4
             row[j] = str(s)
             rows.append(" ".join(row) + " 1")
-    p.write_text("4 8 1.0 2.0\n" + "\n".join(rows) + "\n0 0 0 0\n")
+    return "4 8 1.0 2.0\n" + "\n".join(rows) + "\n0 0 0 0\n"
+
+
+def test_diagnose_dimension_guard(tmp_path, capsys):
+    p = tmp_path / "cube4.txt"
+    p.write_text(_cube4_lines())
     code, _, err = run_cli(
         ["diagnose", "--polytope", str(p), "--eps", "0.5", "--n", "10"], capsys
     )
@@ -961,6 +983,35 @@ def test_erm_refuses_what_sample_refuses(flag, value, square_file, erm_file, tmp
     assert code == 2
     assert err == want
     assert sorted(tmp_path.iterdir()) == sorted([square_file, erm_file])
+
+
+def test_erm_refuses_d4_before_sampling(tmp_path, capsys, monkeypatch):
+    # the utility oracle enumerates vertices (d <= 3 only); that refusal
+    # must come before the walk, and leave no --out file
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a d=4 instance")
+
+    monkeypatch.setattr(cli.dp, "private_erm_batch", no_sampling)
+    inst = tmp_path / "cube4_erm.txt"
+    inst.write_text(_cube4_lines() + "2\n1 0 0 0\n0 1 0 0\n1 0.5\n")
+    out = tmp_path / "erm.csv"
+    code, _, err = run_cli(["erm", "--polytope", str(inst), "--out", str(out)], capsys)
+    assert code == 2
+    assert err == "config error: vertex enumeration is for d <= 3\n"
+    assert sorted(tmp_path.iterdir()) == [inst]
+
+
+@pytest.mark.parametrize("value", ("inf", "nan"))
+@pytest.mark.parametrize("command", ("params", "sample", "diagnose", "erm"))
+def test_non_finite_cmix_is_a_config_error(command, value, square_file, erm_file, capsys):
+    if command == "erm":
+        argv = ["erm", "--polytope", str(erm_file)]
+    else:
+        argv = [command, "--polytope", str(square_file), "--eps", "0.5"]
+    code, out, err = run_cli([*argv, "--cmix", value], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: c_mix must be finite and positive, got {value}\n"
 
 
 def test_erm_requires_instance_file(capsys):

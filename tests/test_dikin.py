@@ -364,8 +364,9 @@ def test_mixing_steps_validates(sq):
     f = uniform()
     with pytest.raises(ValueError):
         dikin.mixing_steps(sq, f, -0.5, -10.0, 1.0)
-    with pytest.raises(ValueError):
-        dikin.mixing_steps(sq, f, 0.5, -10.0, 0.0)
+    for c_mix in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="c_mix must be finite and positive"):
+            dikin.mixing_steps(sq, f, 0.5, -10.0, c_mix)
 
 
 def test_tune_eta_reaches_band(sq):
@@ -443,5 +444,5 @@ def test_pool_full_chunk_depends_on_seed_and_chunk_only(seg):
     for field in ("points", "tau", "fallback", "oracle_calls"):
         a, b = (getattr(r, field) for r in runs)
         assert np.array_equal(a, b[:128]), field
-    assert runs[0].T > 1
-    assert 0 < runs[0].accepts < runs[0].chain_steps
+    assert runs[0].plan.T > 1
+    assert 0 < runs[0].plan.accepts < runs[0].plan.chain_steps

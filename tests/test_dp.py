@@ -152,22 +152,22 @@ def test_private_erm_single_run(erm_file):
     inst = load_erm_instance(erm_file)
     run = private_erm_batch(inst, seed=11, n_runs=1)
     assert len(run) == 1
-    assert contains(inst.polytope, run.thetas[0])
-    assert run.t_halt == 11
-    assert run.params.tau_max == 2
-    assert run.T == 56
-    assert run.eta > 0
+    assert contains(inst.polytope, run.points[0])
+    assert halting_threshold(inst) == 11
+    assert run.plan.params.tau_max == 2
+    assert run.plan.T == 56
+    assert run.plan.eta > 0
     if run.fallback[0] == FALLBACK_NONE:
         assert run.oracle_calls[0] == run.tau[0]
     else:
         assert run.fallback[0] == FALLBACK_BALL  # t_halt=11 >= tau_max=2: no cap
-        assert run.tau[0] == run.params.tau_max + 1
+        assert run.tau[0] == run.plan.params.tau_max + 1
 
 
 def test_private_erm_deterministic(erm_file):
     inst = load_erm_instance(erm_file)
-    a = private_erm_batch(inst, seed=12, n_runs=1, eta=1.5).thetas
-    b = private_erm_batch(inst, seed=12, n_runs=1, eta=1.5).thetas
+    a = private_erm_batch(inst, seed=12, n_runs=1, eta=1.5).points
+    b = private_erm_batch(inst, seed=12, n_runs=1, eta=1.5).points
     assert np.array_equal(a, b)
 
 
@@ -175,19 +175,19 @@ def test_private_erm_batch_kinds_and_support(erm_file):
     inst = load_erm_instance(erm_file)
     batch = private_erm_batch(inst, seed=13, n_runs=2000, eta=1.5)
     assert len(batch) == 2000
-    assert np.all(contains_many(inst.polytope, batch.thetas))
+    assert np.all(contains_many(inst.polytope, batch.points))
     kinds = set(batch.fallback.tolist())
     assert kinds <= {FALLBACK_NONE, FALLBACK_BALL}
     # tau_max = 2 makes ball fallbacks routine (survival ~ 1/4)
     assert FALLBACK_BALL in kinds
     fb = batch.fallback == FALLBACK_BALL
-    assert np.all(batch.tau[fb] == batch.params.tau_max + 1)
-    assert np.all(batch.oracle_calls[fb] == batch.params.tau_max)
+    assert np.all(batch.tau[fb] == batch.plan.params.tau_max + 1)
+    assert np.all(batch.oracle_calls[fb] == batch.plan.params.tau_max)
     live = ~fb
     assert np.all(batch.tau[live] == batch.oracle_calls[live])
 
 
-ERM_COLUMNS = ("thetas", "tau", "fallback", "oracle_calls")
+ERM_COLUMNS = ("points", "tau", "fallback", "oracle_calls")
 
 
 def test_private_erm_batch_tuner_stays_off_the_output_streams(erm_file):
@@ -195,7 +195,7 @@ def test_private_erm_batch_tuner_stays_off_the_output_streams(erm_file):
     # emits the same rows as a run handed the eta it tuned
     inst = load_erm_instance(erm_file)
     tuned = private_erm_batch(inst, seed=19, n_runs=500)
-    given = private_erm_batch(inst, seed=19, n_runs=500, eta=tuned.eta)
+    given = private_erm_batch(inst, seed=19, n_runs=500, eta=tuned.plan.eta)
     for name in ERM_COLUMNS:
         assert np.array_equal(getattr(tuned, name), getattr(given, name)), name
 
@@ -222,11 +222,11 @@ def test_private_erm_capped_center_fallback():
     )
     t_halt = halting_threshold(inst)
     batch = private_erm_batch(inst, seed=14, n_runs=20000, eta=1.5)
-    assert batch.params.tau_max > t_halt  # 14 > 11: the cap is active
+    assert batch.plan.params.tau_max == t_halt  # the cap replaced tau_max = 14
     capped = batch.fallback == FALLBACK_CENTER
     assert capped.sum() >= 1  # survival ~ 2^-11 over 20000 runs
     assert FALLBACK_BALL not in set(batch.fallback.tolist())
-    assert np.all(batch.thetas[capped] == 0.0)  # box center in original coords
+    assert np.all(batch.points[capped] == 0.0)  # box center in original coords
     assert np.all(batch.tau[capped] == t_halt + 1)
     assert np.all(batch.oracle_calls[capped] == t_halt)
 
@@ -242,7 +242,7 @@ def test_private_erm_zero_losses_is_near_uniform():
     )
     batch = private_erm_batch(inst, seed=15, n_runs=20000, eta=1.5)
     grid = oracle.cell_masses(inst.polytope, total_loss_density(inst), 10)
-    res = oracle.sup_log_ratio(batch.thetas, grid)
+    res = oracle.sup_log_ratio(batch.points, grid)
     assert res.passes(extra=inst.eps_dp, sigmas=3.0)
 
 
@@ -257,8 +257,8 @@ def test_neighboring_instances_log_ratio_smoke():
     b = ErmInstance(K, flipped, L=1.0, eps_dp=eps)
 
     n = 10000
-    ta = private_erm_batch(a, seed=16, n_runs=n, eta=1.5).thetas
-    tb = private_erm_batch(b, seed=17, n_runs=n, eta=1.5).thetas
+    ta = private_erm_batch(a, seed=16, n_runs=n, eta=1.5).points
+    tb = private_erm_batch(b, seed=17, n_runs=n, eta=1.5).points
 
     lo, hi = np.array([-1.0]), np.array([1.0])
     grid = oracle.CellGrid(lo=lo, hi=hi, nbins=np.array([5]), masses=np.full(5, 0.2))
