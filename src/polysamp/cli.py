@@ -28,7 +28,6 @@ import os
 import signal
 import stat
 import sys
-from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -79,9 +78,7 @@ def _write_header(out, args, params: converter.ConverterParams, T) -> None:
 
 
 def _resolve_cmix(args, default: float) -> float:
-    if args.cmix is not None:
-        return args.cmix
-    return ANALYSIS_CMIX if args.paper_constants else default
+    return args.cmix if args.cmix is not None else default
 
 
 @contextlib.contextmanager
@@ -171,114 +168,26 @@ def _write_rows(out, *columns) -> None:
         out.write(block)
 
 
-# The largest F measured (on a 2-CPU box). Each formatter costs a fork, a
-# process and a chunk in flight, so more wait for a measurement that pays.
-MAX_FORMATTERS = 2
-
-
-def _formatter_count(n_chunks: int) -> int:
-    """F, the processes that format a run of n_chunks chunks: one per CPU
-    this process may run on, at most one per chunk and MAX_FORMATTERS.
-    1 formats in-process."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(MAX_FORMATTERS, len(os.sched_getaffinity(0)), n_chunks)
-
-
-def _format_loop(conn, parent_ends) -> None:
-    """A forked formatter: columns in, the text ``_write_rows`` would write
-    for them out, until the parent's end of conn closes, which it does when
-    the parent is done or dies, or the parent ends the process.
-
-    parent_ends are the parent's pipe ends this process inherited, its own
-    among them; they are closed first, else conn would never see EOF.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's to handle
-    for end in parent_ends:
-        end.close()
-    with contextlib.suppress(EOFError, BrokenPipeError):
-        while True:
-            conn.send("".join(_row_blocks(*conn.recv())))
-
-
-@contextlib.contextmanager
-def _chunk_writer(out, formatters: int):
-    """``write(*columns)``, which puts one chunk's rows on out in call order.
-
-    With formatters == 1 each call runs ``_write_rows``. Otherwise that many
-    processes, forked on entry (before the caller starts any thread: a fork
-    copies only the calling thread), turn chunks into text while the caller
-    makes the next ones, and at most ``formatters`` chunks wait formatted
-    but unwritten. If the caller's body raises an Exception, the chunks it
-    passed before are written before the error propagates; a
-    KeyboardInterrupt drops them. On exit no formatter is left running, and
-    if the caller dies without exiting, its formatters see their pipes close
-    and exit.
-    """
-    if formatters == 1:
-        yield lambda *columns: _write_rows(out, *columns)
-        return
-    import multiprocessing  # only runs that fork pay for the import
-
-    ctx = multiprocessing.get_context("fork")
-    idle, pending, procs = [], deque(), []
-
-    def write_oldest():
-        conn = pending.popleft()
-        try:
-            out.write(conn.recv())
-        except BaseException:
-            pending.clear()  # nothing may follow a chunk that did not go out
-            raise
-        idle.append(conn)
-
-    def write(*columns):
-        if not idle:
-            write_oldest()
-        conn = idle.pop()
-        conn.send(columns)
-        pending.append(conn)
-
-    try:
-        out.flush()  # a child must not inherit buffered bytes
-        for _ in range(formatters):
-            conn, child_end = ctx.Pipe()
-            args = (child_end, [*idle, conn])
-            proc = ctx.Process(target=_format_loop, args=args, daemon=True)
-            proc.start()
-            procs.append(proc)
-            child_end.close()
-            idle.append(conn)
-        try:
-            yield write
-        except Exception:
-            with contextlib.suppress(Exception):  # the first error is the one to report
-                while pending:
-                    write_oldest()
-            raise
-        while pending:
-            write_oldest()
-    finally:
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            proc.join()
+def _sample_rows(start: int, batch: converter.SampleBatch) -> str:
+    """The CSV text of ``sample``'s rows for one chunk, whose first row is
+    row start: run in the process that made the chunk."""
+    return "".join(
+        _row_blocks(
+            np.arange(start, start + len(batch)),
+            *batch.points.T,
+            batch.tau,
+            batch.fallback,
+            batch.oracle_calls,
+        )
+    )
 
 
 def _load_inputs(args):
-    """Polytope + density resolution, including the erm:FILE density kind."""
-    spec = args.density
-    if spec.startswith("erm:"):
-        inst = dp.load_erm_instance(spec[4:])
-        f = dp.total_loss_density(inst)
-        P = load_polytope(args.polytope) if args.polytope else inst.polytope
-        if P.d != inst.d:
-            raise ConfigError("polytope dimension does not match the ERM instance")
-        return P, f
+    """The polytope and density of --polytope and --density."""
     if args.polytope is None:
         raise ConfigError("--polytope is required")
     P = load_polytope(args.polytope)
-    return P, parse_density(spec, P.d)
+    return P, parse_density(args.density, P.d)
 
 
 # ---------------------------------------------------------------------------
@@ -324,24 +233,16 @@ def cmd_sample(args) -> int:
             c_mix=_resolve_cmix(args, DESK_CMIX),
             eta=args.eta,
             oracle=args.oracle,
-            workers=args.workers,
         )
         _write_header(out, args, plan.params, plan.T)
         coords = ",".join(f"x{j + 1}" for j in range(P.d))
         out.write(f"index,{coords},tau,fallback,oracle_calls\n")
-        with _chunk_writer(out, _formatter_count(plan.n_chunks)) as write:
-            # each chunk is handed on as soon as it is made, then dropped
-            start = 0
-            for batch in plan.chunks():
-                stop = start + len(batch)
-                write(
-                    np.arange(start, stop),
-                    *batch.points.T,
-                    batch.tau,
-                    batch.fallback,
-                    batch.oracle_calls,
-                )
-                start = stop
+        out.flush()  # a forked chunk worker must not inherit buffered bytes
+        # each chunk's text is written as soon as it is made, then dropped;
+        # closing ends the chunk workers also when a write raises
+        with contextlib.closing(plan.chunks(_sample_rows)) as texts:
+            for text in texts:
+                out.write(text)
     return 0
 
 
@@ -360,7 +261,6 @@ def cmd_diagnose(args) -> int:
             c_mix=c_mix,
             eta=args.eta,
             oracle=args.oracle,
-            workers=args.workers,
         )
         plan = result.plan
         bins = args.bins if args.bins is not None else {1: 50, 2: 20, 3: 6}[P.d]
@@ -450,7 +350,7 @@ def _add_common(sp, *, density: bool = True, eps: bool = True, sampling: bool = 
         sp.add_argument(
             "--density",
             default="uniform",
-            help="uniform | linear:c1,..,cd | norm1:LEVEL | erm:FILE",
+            help="uniform | linear:c1,..,cd | norm1:LEVEL",
         )
     if eps:
         sp.add_argument("--eps", type=float, required=True, help="infinity-distance target")
@@ -458,23 +358,12 @@ def _add_common(sp, *, density: bool = True, eps: bool = True, sampling: bool = 
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--n", type=int, default=1, help="number of output points")
         sp.add_argument("--eta", type=float, default=None, help="walk step size (default: auto-tune)")
-    sp.add_argument("--cmix", type=float, default=None, help="mixing-time prefactor override")
-    sp.add_argument(
-        "--paper-constants",
-        action="store_true",
-        help="use C_mix=1 (the analysis constant) instead of the desk default",
-    )
+    sp.add_argument("--cmix", type=float, default=None, help="mixing-time prefactor (analysis: 1)")
 
 
-_WORKERS_HELP = "threads that sample chunks (same output at any count; they save little time)"
-
-
-def _add_output(sp, *, workers: str | None = _WORKERS_HELP):
-    """--out for the commands that write a CSV; --workers, with this help,
-    for those that run their chunks through ``plan_sampling``."""
+def _add_output(sp):
+    """--out, for the commands that write a CSV."""
     sp.add_argument("--out", default=None, help="output file (default: stdout)")
-    if workers:
-        sp.add_argument("--workers", type=int, default=1, help=workers)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,10 +377,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("params", help="print the derived parameter schedule")
     _add_common(sp, sampling=False)
 
-    sp = sub.add_parser("sample", help="draw N points to CSV")
+    sp = sub.add_parser(
+        "sample",
+        help="draw N points to CSV",
+        description="Draw N points to CSV. Chunks of 8192 rows are sampled and "
+        "formatted in one process per usable CPU, at most 2; the bytes do not "
+        "depend on the count.",
+    )
     _add_common(sp)
-    formatting = "; CSV rows are formatted in forked processes, one per usable CPU, at most 2"
-    _add_output(sp, workers=_WORKERS_HELP + formatting)
+    _add_output(sp)
     sp.add_argument("--oracle", choices=("dikin", "exact"), default="dikin")
 
     sp = sub.add_parser("diagnose", help="compare a run against exact cell masses (d <= 3)")
@@ -502,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("erm", help="differentially private ERM on an instance file")
     _add_common(sp, density=False, eps=False)
-    _add_output(sp, workers=None)
+    _add_output(sp)
 
     return ap
 

@@ -144,11 +144,8 @@ def norm1(level: float, d: int) -> LogDensity:
 
 
 def parse_density(spec: str, d: int) -> LogDensity:
-    """Parse the CLI density grammar (without the 'erm:' kind).
-
-    Grammar: ``uniform`` | ``linear:c1,...,cd`` | ``norm1:LEVEL``. The
-    'erm:FILE' kind carries its own polytope and is handled by the CLI.
-    """
+    """Parse the CLI density grammar: ``uniform`` | ``linear:c1,...,cd`` |
+    ``norm1:LEVEL``."""
     spec = spec.strip()
     if spec == "uniform":
         return uniform()
@@ -169,6 +166,5 @@ def parse_density(spec: str, d: int) -> LogDensity:
             raise ConfigError(f"bad norm1 density spec '{spec}': {exc}") from None
         return norm1(level, d)
     raise ConfigError(
-        f"unknown density spec '{spec}' (expected uniform | linear:c1,..,cd | "
-        "norm1:LEVEL | erm:FILE)"
+        f"unknown density spec '{spec}' (expected uniform | linear:c1,..,cd | norm1:LEVEL)"
     )

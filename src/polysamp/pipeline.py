@@ -5,15 +5,16 @@ Runs are processed in fixed-size chunks; chunk j's converter draws from the
 Philox stream keyed (seed, j), and with the walk oracle chunk j's walk draws
 come from its own draw pool on stream (seed, POOL_STREAM + j). Auxiliary
 consumers (the step-size tuner, the exact sampler's pilot) use a reserved
-stream id far above any chunk index. Output is therefore byte-identical for
-any worker count, and a worker pool only changes wall-clock time.
+stream id far above any chunk index. Output is therefore byte-identical
+however the chunks are shared out between processes.
 
 ``plan_sampling`` does the set-up (normalize, schedule, T, eta, oracle) and
-returns a ``SamplingPlan``, whose ``chunks()`` runs the chunks and yields
-their rows in chunk order. A caller that handles each chunk as it comes
-holds O(workers * CHUNK) rows at a time, whatever n is; the CLI's ``sample``
-also keeps up to F chunks waiting on its F forked CSV formatters, so
-O((workers + F) * CHUNK). ``collect()`` gathers every chunk into one
+returns a ``SamplingPlan``. Its ``chunks()`` runs the chunks in W processes,
+the caller's and W - 1 forked chunk workers, and yields each chunk's rows,
+or what a ``render`` function made of them in the process that ran the
+chunk, in chunk order (the CLI's ``sample`` renders CSV text). A caller that
+handles each chunk as it comes holds O(W * CHUNK) rows at a time, whatever
+n is. ``collect()`` gathers every chunk into one
 ``SamplingResult``: the rows, with the plan that made them attached, so a
 run's settings (params, T, eta) and walk counters live on the plan alone.
 ``run_sampling`` and ``dp.private_erm_batch`` return it.
@@ -21,8 +22,11 @@ run's settings (params, T, eta) and walk counters live on the plan alone.
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+import contextlib
+import math
+import os
+import signal
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -48,6 +52,9 @@ CHUNK = 8192
 AUX_STREAM = 1 << 62  # tuner/pilot stream; chunk indices stay far below this
 POOL_STREAM = 1 << 61  # chunk j's walk draws use POOL_STREAM + j
 MAX_SEED = 2**63
+# The largest W measured (on a 2-CPU box). Each worker costs a fork, a
+# process and a chunk in flight, so more wait for a measurement that pays.
+MAX_WORKERS = 2
 
 
 def rng_stream(seed: int, stream: int) -> np.random.Generator:
@@ -55,19 +62,16 @@ def rng_stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
-def _ordered(fn, count: int, workers: int) -> Iterator:
-    """fn(0), ..., fn(count - 1) in order, with at most ``workers`` calls
-    started ahead of the result being consumed."""
-    if workers == 1 or count == 1:
-        yield from map(fn, range(count))
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        ahead = deque(pool.submit(fn, j) for j in range(min(workers, count)))
-        for j in range(workers, count + workers):
-            result = ahead.popleft().result()
-            if j < count:
-                ahead.append(pool.submit(fn, j))
-            yield result
+def _worker_count(n_chunks: int) -> int:
+    """W, the processes that run n_chunks chunks: one per CPU this process
+    may run on, at most one per chunk and MAX_WORKERS. 1 (no fork) without
+    fork or sched_getaffinity, or while other threads run: a fork copies
+    only the calling thread, so a lock another thread holds stays locked."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return min(MAX_WORKERS, len(os.sched_getaffinity(0)), n_chunks)
 
 
 @dataclass
@@ -84,7 +88,6 @@ class SamplingPlan:
     params: converter.ConverterParams
     seed: int
     n: int
-    workers: int
     chunk: int
     chunk_oracle: Callable[[int], Callable] = field(repr=False)
     T: int | None = None
@@ -92,7 +95,10 @@ class SamplingPlan:
     chain_steps: int = 0
     accepts: int = 0
 
-    def _run_chunk(self, j: int):
+    def _run_chunk(self, j: int, render: Callable | None = None) -> tuple:
+        """Chunk j as (payload, chain_steps, accepts): the payload is its
+        rows, points in the caller's original coordinates, or
+        render(start, rows) with start the index of its first row."""
         start = j * self.chunk
         oracle_batch = self.chunk_oracle(j)
         batch = converter.convert_batch(
@@ -103,24 +109,91 @@ class SamplingPlan:
             min(self.chunk, self.n - start),
         )
         batch.points += self.translation
-        return batch, oracle_batch
+        payload = batch if render is None else render(start, batch)
+        steps = getattr(oracle_batch, "chain_steps", 0)
+        return payload, steps, getattr(oracle_batch, "accepts", 0)
+
+    def _work(self, w: int, workers: int, render, conn, parent_ends) -> None:
+        """Forked worker w of ``workers``: send ``_run_chunk``'s result for
+        chunks w, w + workers, ... on conn, or the Exception one raised.
+
+        parent_ends are the parent's pipe ends this process inherited, its
+        own among them; they are closed first, so that conn breaks when the
+        parent dies. fd 1 goes to /dev/null, so that a reader of the
+        parent's stdout sees EOF as soon as the parent dies, not when this
+        process finishes a chunk.
+        """
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's to handle
+        for end in parent_ends:
+            end.close()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        with contextlib.suppress(BrokenPipeError):  # the parent is gone
+            for j in range(w, self.n_chunks, workers):
+                try:
+                    result = self._run_chunk(j, render)
+                except Exception as exc:
+                    conn.send(exc)
+                    return
+                conn.send(result)
 
     @property
     def n_chunks(self) -> int:
         return (self.n + self.chunk - 1) // self.chunk
 
-    def chunks(self) -> Iterator[converter.SampleBatch]:
-        """Run the chunks and yield each one's rows in chunk order, with
-        points in the caller's original coordinates.
+    def chunks(self, render: Callable | None = None) -> Iterator:
+        """Run the chunks and yield, in chunk order, each one's rows (a
+        ``converter.SampleBatch``, points in the caller's original
+        coordinates) or, given render, render(start, rows), made in the
+        process that ran the chunk.
 
-        With workers > 1, at most ``workers`` chunks run ahead of the one
-        just yielded, so finished chunks never pile up.
+        W = ``_worker_count(n_chunks)`` processes share the chunks: this
+        one runs chunks 0, W, 2W, ... and W - 1 workers, forked on the
+        first ``next``, run the others, worker w chunks w, w + W, ....
+        A worker's send waits while its pipe is full, so each process
+        holds the chunk it runs and at most one it hands on, and memory is
+        O(W * CHUNK) rows. A chunk that raises raises here at its place in
+        the order, after the chunks before it have been yielded. No worker
+        outlives the generator, also when it raises or is closed early; a
+        worker whose parent dies exits when it next sends.
         """
         self.chain_steps = self.accepts = 0
-        for batch, oracle_batch in _ordered(self._run_chunk, self.n_chunks, self.workers):
-            self.chain_steps += getattr(oracle_batch, "chain_steps", 0)
-            self.accepts += getattr(oracle_batch, "accepts", 0)
-            yield batch
+        workers = _worker_count(self.n_chunks)
+        conns, procs = [None], []
+        try:
+            if workers > 1:
+                import multiprocessing  # only runs that fork pay for the import
+
+                ctx = multiprocessing.get_context("fork")
+                for w in range(1, workers):
+                    conn, child_end = ctx.Pipe(duplex=False)
+                    conns.append(conn)
+                    args = (w, workers, render, child_end, conns[1:])
+                    procs.append(ctx.Process(target=self._work, args=args, daemon=True))
+                    procs[-1].start()
+                    child_end.close()
+            for j in range(self.n_chunks):
+                if j % workers == 0:
+                    result = self._run_chunk(j, render)
+                else:
+                    try:
+                        result = conns[j % workers].recv()
+                    except EOFError:
+                        raise RuntimeError(f"the worker for chunk {j} exited without it") from None
+                    if isinstance(result, Exception):
+                        raise result
+                payload, chain_steps, accepts = result
+                self.chain_steps += chain_steps
+                self.accepts += accepts
+                yield payload
+        finally:
+            for proc in procs:
+                proc.terminate()
+            for proc in procs:
+                proc.join()
+            for conn in conns[1:]:
+                conn.close()
 
     def collect(self) -> SamplingResult:
         """Run the chunks and return all n rows in original coordinates,
@@ -158,26 +231,22 @@ def plan_sampling(
     c_mix: float = 1e-4,
     eta: float | None = None,
     oracle: str = "dikin",
-    workers: int = 1,
     chunk: int = CHUNK,
 ) -> SamplingPlan:
     """Set up a run of n samples with infinity-distance target eps.
 
     Args:
         oracle: "dikin" for the production walk, "exact" for the rejection
-            oracle (desk-scale ground truth; ignores c_mix and eta).
-        workers: threads that run chunks. Any value yields the same
-            output. Threads overlap only where numpy releases the GIL, so
-            they save little time (README). They only sample: the CLI's
-            ``sample`` formats its CSV in forked processes instead, one per
-            usable CPU and at most 2, forked before the first thread starts.
+            oracle (desk-scale ground truth; checks c_mix, ignores it and eta).
     """
     if n < 1:
         raise ConfigError("sample count must be at least 1")
     if not (0 <= seed < MAX_SEED):
         raise ConfigError(f"seed must be in [0, {MAX_SEED})")
-    if workers < 1 or chunk < 1:
-        raise ConfigError("workers and chunk size must be positive")
+    if chunk < 1:
+        raise ConfigError("chunk size must be positive")
+    if not (0 < c_mix < math.inf):
+        raise ConfigError(f"c_mix must be finite and positive, got {c_mix!r}")
 
     Pn, translation = normalize(P)
     fn = shifted(f, translation)
@@ -211,7 +280,6 @@ def plan_sampling(
         params=params,
         seed=seed,
         n=n,
-        workers=workers,
         chunk=chunk,
         chunk_oracle=chunk_oracle,
         T=T,
@@ -228,8 +296,7 @@ def run_sampling(
     c_mix: float = 1e-4,
     eta: float | None = None,
     oracle: str = "dikin",
-    workers: int = 1,
     chunk: int = CHUNK,
 ) -> SamplingResult:
     """Draw n samples with infinity-distance target eps, all in memory."""
-    return plan_sampling(P, f, eps, n, seed, c_mix, eta, oracle, workers, chunk).collect()
+    return plan_sampling(P, f, eps, n, seed, c_mix, eta, oracle, chunk).collect()

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,17 @@ import helpers
 @pytest.fixture
 def rng():
     return np.random.default_rng(2026)
+
+
+@pytest.fixture
+def pin_cpus(monkeypatch):
+    """pin_cpus(count) makes the process see count usable CPUs, so a run of
+    n chunks forks min(count, n, MAX_WORKERS) - 1 chunk workers."""
+
+    def pin(count: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    return pin
 
 
 @pytest.fixture

@@ -23,10 +23,10 @@ import numpy as np
 import pytest
 
 import helpers
-from polysamp import cli, converter
+from polysamp import cli
 from polysamp.errors import ContractViolation
 from polysamp.geometry import contains_many, load_polytope
-from polysamp.pipeline import CHUNK
+from polysamp.pipeline import CHUNK, SamplingPlan
 
 
 def run_cli(argv, capsys) -> tuple[int, str, str]:
@@ -73,7 +73,8 @@ def test_params_worked_example(square_file, capsys):
             "linear:1,0",
             "--eps",
             "0.5",
-            "--paper-constants",
+            "--cmix",
+            "1",
         ],
         capsys,
     )
@@ -117,9 +118,10 @@ def test_params_hash_round_trips_into_sample(seg_file, capsys):
 def test_flags_a_command_would_ignore_are_rejected(
     command, flag, value, square_file, erm_file, tmp_path, capsys, monkeypatch
 ):
-    # params only prints and erm runs no chunks: these flags would do
-    # nothing (params' --seed, --n and --eta would only move config_hash),
-    # so argparse refuses them (exit 2) before any work is done
+    # params only prints: these flags would do nothing (its --seed, --n and
+    # --eta would only move config_hash), so argparse refuses them (exit 2)
+    # before any work is done; no command has --workers, since the worker
+    # count comes from the usable CPUs
     monkeypatch.chdir(tmp_path)
     polytope = erm_file if command == "erm" else square_file
     argv = [command, "--polytope", str(polytope)] + (["--eps", "0.5"] if command == "params" else [])
@@ -158,11 +160,13 @@ def test_sample_deterministic_rerun(seg_file, capsys):
     assert first == second
 
 
-def _sample_worker_outputs(polytope, tmp_path, capsys, *oracle_args) -> list[bytes]:
-    """`sample` output bytes with --workers 1 and with --workers 3."""
+def _sample_worker_outputs(polytope, tmp_path, capsys, pin_cpus, *oracle_args) -> list[bytes]:
+    """`sample` output bytes with one usable CPU and with two, so in one
+    process and in two."""
     outs = []
-    for workers in ("1", "3"):
-        path = tmp_path / f"w{workers}.csv"
+    for cpus in (1, 2):
+        pin_cpus(cpus)
+        path = tmp_path / f"w{cpus}.csv"
         code, _, _ = run_cli(
             [
                 "sample",
@@ -175,8 +179,6 @@ def _sample_worker_outputs(polytope, tmp_path, capsys, *oracle_args) -> list[byt
                 "9000",
                 "--seed",
                 "7",
-                "--workers",
-                workers,
                 "--out",
                 str(path),
             ],
@@ -187,18 +189,18 @@ def _sample_worker_outputs(polytope, tmp_path, capsys, *oracle_args) -> list[byt
     return outs
 
 
-def test_sample_worker_count_invariance(square_file, tmp_path, capsys):
-    outs = _sample_worker_outputs(square_file, tmp_path, capsys, "--oracle", "exact")
-    # chunked runs are seeded per chunk index: thread count cannot matter
+def test_sample_worker_count_invariance(square_file, tmp_path, capsys, pin_cpus):
+    outs = _sample_worker_outputs(square_file, tmp_path, capsys, pin_cpus, "--oracle", "exact")
+    # chunked runs are seeded per chunk index: the worker count cannot matter
     assert outs[0] == outs[1]
 
 
-def test_sample_walk_worker_count_invariance(square_file, tmp_path, capsys):
+def test_sample_walk_worker_count_invariance(square_file, tmp_path, capsys, pin_cpus):
     # n = 9000 > CHUNK makes two chunks, each walking T=35 steps per draw on
     # its own pool stream
     assert 9000 > CHUNK
     outs = _sample_worker_outputs(
-        square_file, tmp_path, capsys, "--oracle", "dikin", "--cmix", "0.01"
+        square_file, tmp_path, capsys, pin_cpus, "--oracle", "dikin", "--cmix", "0.01"
     )
     assert outs[0] == outs[1]
 
@@ -209,11 +211,12 @@ def test_sample_walk_worker_count_invariance(square_file, tmp_path, capsys):
 PINNED_SAMPLE_SHA256 = "763197d211fdd8a6795e98884308d1814a57e432e7665fc2c0880b234d1ba9ab"
 
 
-@pytest.mark.parametrize("workers", ("1", "2"))
-def test_sample_pinned_bytes(workers, square_file, tmp_path, capsys):
+@pytest.mark.parametrize("cpus", ("1", "2"))
+def test_sample_pinned_bytes(cpus, square_file, tmp_path, capsys, pin_cpus):
+    pin_cpus(int(cpus))
     out = tmp_path / "s.csv"
     argv = ["sample", "--polytope", str(square_file), "--density", "linear:1,0", "--eps", "0.5"]
-    argv += ["--oracle", "exact", "--n", "20000", "--seed", "3", "--workers", workers]
+    argv += ["--oracle", "exact", "--n", "20000", "--seed", "3"]
     code, _, _ = run_cli([*argv, "--out", str(out)], capsys)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SAMPLE_SHA256
@@ -414,17 +417,28 @@ def _exact_sample_argv(polytope, n: int, *extra) -> list[str]:
     ]
 
 
-def _fail_on_call(monkeypatch, call: int):
-    """Make the call-th converter.convert_batch call raise ContractViolation."""
-    convert, calls = converter.convert_batch, []
+def _fail_on_chunk(monkeypatch, chunk: int, error=ContractViolation):
+    """Make chunk ``chunk`` raise error, in whichever process runs it."""
+    run_chunk = SamplingPlan._run_chunk
 
-    def failing(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == call:
-            raise ContractViolation("injected failure")
-        return convert(*args, **kwargs)
+    def failing(self, j, render=None):
+        if j == chunk:
+            raise error("injected failure")
+        return run_chunk(self, j, render)
 
-    monkeypatch.setattr(converter, "convert_batch", failing)
+    monkeypatch.setattr(SamplingPlan, "_run_chunk", failing)
+
+
+def _log_chunk_starts(monkeypatch, log: Path) -> None:
+    """Append "run J" to log as any process starts chunk J."""
+    run_chunk = SamplingPlan._run_chunk
+
+    def logged(self, j, render=None):
+        with open(log, "a") as fh:  # O_APPEND: lines of all processes in time order
+            fh.write(f"run {j}\n")
+        return run_chunk(self, j, render)
+
+    monkeypatch.setattr(SamplingPlan, "_run_chunk", logged)
 
 
 @pytest.mark.parametrize("existing", (None, b"earlier run\n"))
@@ -434,7 +448,7 @@ def test_sample_failure_mid_run_leaves_out_untouched(
     # 20000 rows make three chunks; the second one fails after the first
     # has been written. F stays absent, or keeps its old bytes, and no
     # temporary file is left beside it.
-    _fail_on_call(monkeypatch, 2)
+    _fail_on_chunk(monkeypatch, 1)
     out = tmp_path / "out" / "s.csv"
     out.parent.mkdir()
     if existing is not None:
@@ -449,13 +463,19 @@ def test_sample_failure_mid_run_leaves_out_untouched(
         assert out.read_bytes() == existing
 
 
-def test_sample_failure_on_stdout_keeps_written_chunks(square_file, capsys, monkeypatch):
-    # stdout cannot be taken back: the rows of chunk 0 are already out
-    _fail_on_call(monkeypatch, 2)
-    code, out, _ = run_cli(_exact_sample_argv(square_file, 20000), capsys)
+def test_sample_failure_on_stdout_keeps_written_chunks(
+    square_file, capsys, monkeypatch, pin_cpus
+):
+    # stdout cannot be taken back: the rows of chunk 0 are already out when
+    # the forked worker's chunk 1 fails, and the worker is gone after
+    pin_cpus(2)
+    _fail_on_chunk(monkeypatch, 1)
+    code, out, err = run_cli(_exact_sample_argv(square_file, 20000), capsys)
     assert code == 3
+    assert err == "contract violation: injected failure\n"
     _, _, rows = parse_csv(out)
     assert len(rows) == CHUNK
+    assert multiprocessing.active_children() == []
 
 
 def test_out_file_mode_matches_plain_open(square_file, tmp_path, capsys):
@@ -543,78 +563,58 @@ def test_sample_memory_flat_in_n(square_file, tmp_path):
     assert large <= 1.5 * small, (small, large)
 
 
-def _pin_cpus(monkeypatch, count: int) -> None:
-    """Make the CLI see count usable CPUs, so a multi-chunk run forks
-    min(count, chunks) formatters (none when count is 1)."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-def test_formatter_count_rule(monkeypatch):
-    # F = min(usable CPUs, chunks, MAX_FORMATTERS); 1 formats in-process
-    _pin_cpus(monkeypatch, 8)
-    assert cli._formatter_count(100) == cli.MAX_FORMATTERS == 2
-    assert cli._formatter_count(1) == 1
-    _pin_cpus(monkeypatch, 1)
-    assert cli._formatter_count(100) == 1
-
-
-def test_sample_workers_bound_chunks_in_flight(square_file, tmp_path, capsys, monkeypatch):
-    # in-process formatting: with 3 workers, no chunk may enter the
-    # converter more than 3 chunks ahead of the chunk being written
-    _pin_cpus(monkeypatch, 1)
-    convert, entered, ahead = converter.convert_batch, [], []
-
-    def counting(*args, **kwargs):
-        entered.append(None)
-        return convert(*args, **kwargs)
-
-    write_rows = cli._write_rows
-
-    def recording(out, index, *columns):
-        ahead.append(len(entered) - (int(index[0]) // CHUNK + 1))
-        write_rows(out, index, *columns)
-
-    monkeypatch.setattr(converter, "convert_batch", counting)
-    monkeypatch.setattr(cli, "_write_rows", recording)
-    argv = _exact_sample_argv(square_file, 8 * CHUNK + 5, "--workers", "3")
-    code, _, _ = run_cli([*argv, "--out", str(tmp_path / "s.csv")], capsys)
-    assert code == 0
-    assert len(entered) == len(ahead) == 9
-    assert max(ahead) <= 3, ahead
-
-
-def test_sample_forked_formatters_bound_chunks_in_flight(square_file, capsys, monkeypatch):
-    # 2 forked formatters and 3 workers: when a chunk's rows are written,
-    # at most workers + F = 5 later chunks have entered the converter
-    _pin_cpus(monkeypatch, 2)
-    convert, entered, ahead = converter.convert_batch, [], []
-
-    def counting(*args, **kwargs):
-        entered.append(None)
-        return convert(*args, **kwargs)
+def _chunks_ahead_at_each_write(square_file, monkeypatch, tmp_path) -> list[int]:
+    """Run a 9-chunk `sample`; for each chunk written, in order, how many
+    later chunks had started by then, in any process."""
+    log = tmp_path / "log"
+    _log_chunk_starts(monkeypatch, log)
 
     class RecordingOut(io.StringIO):
         def write(self, text):
             if text[0].isdigit():  # a chunk's rows, not a header line
-                ahead.append(len(entered) - (int(text.split(",", 1)[0]) // CHUNK + 1))
+                with open(log, "a") as fh:
+                    fh.write(f"write {int(text.split(',', 1)[0]) // CHUNK}\n")
             return super().write(text)
 
-    monkeypatch.setattr(converter, "convert_batch", counting)
     monkeypatch.setattr(sys, "stdout", RecordingOut())
-    code = cli.main(_exact_sample_argv(square_file, 8 * CHUNK + 5, "--workers", "3"))
-    assert code == 0
-    assert len(entered) == len(ahead) == 9
-    assert max(ahead) <= 3 + 2, ahead
-    assert max(ahead) > 3, ahead  # the formatters did hold chunks back
+    assert cli.main(_exact_sample_argv(square_file, 8 * CHUNK + 5)) == 0
+    started, ahead = set(), []
+    for line in log.read_text().splitlines():
+        event, j = line.split()
+        if event == "run":
+            started.add(int(j))
+        else:
+            ahead.append(sum(k > int(j) for k in started))
+    assert len(started) == len(ahead) == 9
+    return ahead
 
 
-@pytest.mark.parametrize("workers", ("1", "3"))
-def test_sample_forks_formatters_before_any_thread(
-    workers, square_file, tmp_path, capsys, monkeypatch
+def test_sample_workers_bound_chunks_in_flight(square_file, monkeypatch, tmp_path, pin_cpus):
+    # in one process, each chunk is written before the next one starts
+    pin_cpus(1)
+    assert _chunks_ahead_at_each_write(square_file, monkeypatch, tmp_path) == [0] * 9
+
+
+def test_sample_forked_formatters_bound_chunks_in_flight(
+    square_file, monkeypatch, tmp_path, pin_cpus
 ):
-    # a fork copies only the calling thread: every formatter must be forked
-    # while the command's process has no other thread
-    _pin_cpus(monkeypatch, 2)
+    # the command's process and one forked worker, each sampling and
+    # formatting its chunks: when a chunk is written, at most W = 2 later
+    # chunks have started
+    pin_cpus(2)
+    ahead = _chunks_ahead_at_each_write(square_file, monkeypatch, tmp_path)
+    assert max(ahead) <= 2, ahead
+    assert max(ahead) >= 1, ahead  # the worker ran beside the command's process
+
+
+@pytest.mark.parametrize("cpus", ("1", "3"))
+def test_sample_forks_formatters_before_any_thread(
+    cpus, square_file, tmp_path, capsys, monkeypatch, pin_cpus
+):
+    # a fork copies only the calling thread: a chunk worker is forked only
+    # while the command's process has no other thread. One usable CPU forks
+    # none; three fork one, as W is capped at MAX_WORKERS = 2
+    pin_cpus(int(cpus))
     fork, threads = os.fork, []
 
     def checked_fork():
@@ -624,26 +624,21 @@ def test_sample_forks_formatters_before_any_thread(
         return fork()
 
     monkeypatch.setattr(os, "fork", checked_fork)
-    argv = _exact_sample_argv(square_file, 4 * CHUNK + 5, "--workers", workers)
+    argv = _exact_sample_argv(square_file, 4 * CHUNK + 5)
     code, _, _ = run_cli([*argv, "--out", str(tmp_path / "s.csv")], capsys)
     assert code == 0
-    assert threads == [1, 1]
+    assert threads == ([] if cpus == "1" else [1])
 
 
 @pytest.mark.parametrize("error", (ContractViolation, KeyboardInterrupt))
-def test_sample_failure_leaves_no_formatter_running(error, square_file, capsys, monkeypatch):
-    # the third of five chunks fails: exit 3 after the first two chunks'
-    # rows, or a KeyboardInterrupt, and either way no formatter survives
-    _pin_cpus(monkeypatch, 2)
-    convert, calls = converter.convert_batch, []
-
-    def failing(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 3:
-            raise error("injected failure")
-        return convert(*args, **kwargs)
-
-    monkeypatch.setattr(converter, "convert_batch", failing)
+def test_sample_failure_leaves_no_formatter_running(
+    error, square_file, capsys, monkeypatch, pin_cpus
+):
+    # the third of five chunks fails in the command's process: exit 3 after
+    # the first two chunks' rows, or a KeyboardInterrupt, and either way no
+    # chunk worker survives
+    pin_cpus(2)
+    _fail_on_chunk(monkeypatch, 2, error)
     argv = _exact_sample_argv(square_file, 4 * CHUNK + 5)
     if error is KeyboardInterrupt:
         with pytest.raises(KeyboardInterrupt):
@@ -659,7 +654,7 @@ _SAMPLE_PINNED_ARGV = ["--density", "linear:1,0", "--eps", "0.5", "--oracle", "e
 
 
 def test_sample_pinned_bytes_through_a_pipe(square_file):
-    # a real process writing to a pipe: bytes a forked formatter duplicated
+    # a real process writing to a pipe: bytes a forked worker duplicated
     # or dropped would show here, where capsys cannot see them
     argv = ["sample", "--polytope", str(square_file), *_SAMPLE_PINNED_ARGV, "--n", "20000"]
     cmd = [sys.executable, "-m", "polysamp", *argv, "--seed", "3"]
@@ -668,19 +663,18 @@ def test_sample_pinned_bytes_through_a_pipe(square_file):
     assert hashlib.sha256(proc.stdout).hexdigest() == PINNED_SAMPLE_SHA256
 
 
-@pytest.mark.parametrize("signum", (signal.SIGTERM, signal.SIGKILL), ids=("TERM", "KILL"))
-def test_sample_killed_leaves_no_formatter_holding_stdout(signum, square_file):
-    # the command dies without running its cleanup: its formatters must see
-    # their pipes close and exit, or a reader of its stdout never sees EOF
-    argv = ["sample", "--polytope", str(square_file), *_SAMPLE_PINNED_ARGV, "--n", str(8 * CHUNK)]
+def _stdout_eof_after_kill(cmd, signum) -> bool:
+    """Start cmd in its own process group, send it signum once it has written
+    its first CSV row, and read its stdout to EOF, which must come within
+    30 s of its death. Whether a process of its group outlived it."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "polysamp", *argv],
+        cmd,
         stdout=subprocess.PIPE,
         start_new_session=True,  # its own process group, so any orphan can be killed below
     )
     try:
         for line in proc.stdout:
-            if line[:1].isdigit():  # the first row: it is formatted, the pipe is full
+            if line[:1].isdigit():  # the first row
                 break
         proc.send_signal(signum)
         proc.wait(timeout=60)
@@ -690,6 +684,11 @@ def test_sample_killed_leaves_no_formatter_holding_stdout(signum, square_file):
             assert ready, "stdout still open 30 s after the command died"
             if not os.read(fd, 1 << 16):
                 break
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
     finally:
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
@@ -697,8 +696,42 @@ def test_sample_killed_leaves_no_formatter_holding_stdout(signum, square_file):
         proc.wait()
 
 
+@pytest.mark.parametrize("signum", (signal.SIGTERM, signal.SIGKILL), ids=("TERM", "KILL"))
+def test_sample_killed_leaves_no_formatter_holding_stdout(signum, square_file):
+    # the command dies without running its cleanup: its chunk workers must
+    # not hold its stdout, or a reader of it never sees EOF
+    argv = ["sample", "--polytope", str(square_file), *_SAMPLE_PINNED_ARGV, "--n", str(8 * CHUNK)]
+    _stdout_eof_after_kill([sys.executable, "-m", "polysamp", *argv], signum)
+
+
+# Runs the CLI as ``python -m polysamp`` does with two usable CPUs, and
+# with every chunk but chunk 0 held up for ten minutes before it runs.
+_SLOW_WORKER_ENTRY = """
+import os, time
+os.sched_getaffinity = lambda pid: {0, 1}
+from polysamp import cli, pipeline
+run_chunk = pipeline.SamplingPlan._run_chunk
+def slow(self, j, render=None):
+    if j > 0:
+        time.sleep(600)
+    return run_chunk(self, j, render)
+pipeline.SamplingPlan._run_chunk = slow
+cli.entry()
+"""
+
+
+def test_walk_sample_killed_leaves_no_worker_holding_stdout(square_file):
+    # a walk chunk can take seconds: a worker must let go of stdout at once,
+    # not when it finishes its chunk. Here the worker's chunk 1 would take
+    # ten minutes, and the reader must still see EOF when the command dies.
+    argv = ["sample", "--polytope", str(square_file), "--eps", "0.5"]
+    argv += ["--cmix", "0.01", "--n", "9000"]
+    cmd = [sys.executable, "-c", _SLOW_WORKER_ENTRY, *argv]
+    assert _stdout_eof_after_kill(cmd, signal.SIGKILL), "no worker was running"
+
+
 # Runs the CLI as ``python -m polysamp`` does, on the arguments after the
-# first, which sets the usable CPU count the way _pin_cpus does in-process.
+# first, which sets the usable CPU count the way pin_cpus does in-process.
 _PINNED_ENTRY = """
 import os, sys
 count = int(sys.argv.pop(1))
@@ -715,7 +748,7 @@ cli.entry()
 def test_closed_stdout_ends_quietly(command, cpus, buffering, square_file, erm_file):
     # ``polysamp ... | head -1``: once the reader closes the pipe, the command
     # exits 141 (128 + SIGPIPE) with nothing on stderr, not even Python's
-    # note on a failed flush at exit, and reaps its formatters first
+    # note on a failed flush at exit, and reaps its chunk workers first
     if command == "sample":
         argv = ["sample", "--polytope", str(square_file), *_SAMPLE_PINNED_ARGV, "--n", str(8 * CHUNK)]
     else:
@@ -725,7 +758,7 @@ def test_closed_stdout_ends_quietly(command, cpus, buffering, square_file, erm_f
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONUNBUFFERED": buffering},
-        start_new_session=True,  # its own process group, to look for formatters left behind
+        start_new_session=True,  # its own process group, to look for workers left behind
     )
     try:
         assert proc.stdout.readline().startswith(b"# config_hash=")
@@ -768,7 +801,7 @@ def _largest_peak_kb(square_file, n: int) -> int:
 
 
 def test_sample_largest_process_memory_flat_in_n(square_file):
-    # peak RSS of the largest of the command and its formatters, read from
+    # peak RSS of the largest of the command and its chunk workers, read from
     # the kernel: 16 times the rows must not mean a larger peak
     small = _largest_peak_kb(square_file, 2 * CHUNK)
     large = _largest_peak_kb(square_file, 32 * CHUNK)
@@ -845,6 +878,20 @@ def test_diagnose_acceptance_reads_walk_counters(seg_file, capsys, monkeypatch):
     assert 0.0 < acceptance["dikin"] < 1.0
     assert acceptance["dikin"] == walk.plan.accepts / walk.plan.chain_steps
     assert math.isnan(acceptance["exact"])
+
+
+def test_diagnose_worker_count_invariance(square_file, capsys, pin_cpus):
+    # 20000 rows make three chunks: the report is the same from one
+    # process as from two
+    argv = ["diagnose", "--polytope", str(square_file), "--density", "linear:1,0"]
+    argv += ["--eps", "0.5", "--oracle", "exact", "--n", "20000", "--seed", "2"]
+    outs = []
+    for cpus in (1, 2):
+        pin_cpus(cpus)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_diagnose_readme_example(square_file, capsys):
@@ -1014,21 +1061,23 @@ def test_non_finite_cmix_is_a_config_error(command, value, square_file, erm_file
     assert err == f"config error: c_mix must be finite and positive, got {value}\n"
 
 
+@pytest.mark.parametrize("value", ("inf", "nan", "-1", "0"))
+@pytest.mark.parametrize("oracle", ("dikin", "exact"))
+@pytest.mark.parametrize("command", ("sample", "diagnose"))
+def test_cmix_is_checked_with_either_oracle(command, oracle, value, square_file, capsys):
+    # the exact oracle runs no walk, but a --cmix it would ignore is still
+    # refused: exit 2 before any row
+    argv = [command, "--polytope", str(square_file), "--eps", "0.5", "--oracle", oracle]
+    code, out, err = run_cli([*argv, "--cmix", value], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: c_mix must be finite and positive, got {float(value)!r}\n"
+
+
 def test_erm_requires_instance_file(capsys):
     code, _, err = run_cli(["erm", "--n", "5"], capsys)
     assert code == 2
     assert "--polytope" in err
-
-
-def test_erm_density_spec_standalone(erm_file, capsys):
-    # erm:FILE as a density works without --polytope (the instance carries K)
-    code, out, _ = run_cli(
-        ["params", "--density", f"erm:{erm_file}", "--eps", "0.5"], capsys
-    )
-    assert code == 0
-    kv = parse_kv(out)
-    assert kv["d"] == "1"
-    assert kv["L"] == "5.0"
 
 
 # ---------------------------------------------------------------------------
