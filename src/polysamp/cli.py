@@ -16,6 +16,14 @@ input file bytes and resolved options), the package version, and a hash of
 the derived parameters, so runs can be matched to their configuration
 without trusting file names. No timestamps: byte-identical reruns are the
 determinism contract.
+
+CSV rows are made a block at a time in numpy (``_row_blocks``): ints print
+as str, bools as 0/1 and floats as their repr. A float with 1e-4 <= |x| <
+1e16 gets repr's shortest round-trip digits from exact integer and IEEE
+arithmetic; the values that arithmetic does not settle (halfway ties, those
+whose rounding interval is lopsided or ends on an integer, zeros, nan, inf,
+values outside that range) go through repr itself, so every float field is
+repr's by construction.
 """
 
 from __future__ import annotations
@@ -126,40 +134,225 @@ def _open_out(path):
         raise
 
 
-# str(i) for the small ints of tau, fallback and oracle_calls: a lookup is faster
-_SMALL_INTS = np.array([str(i) for i in range(1024)], dtype=object)
+# ---------------------------------------------------------------------------
+# CSV rows
+# ---------------------------------------------------------------------------
+#
+# A block of rows is laid out as a (rows, width) uint8 array: each column's
+# field followed by "," (by "\n" after the last). A value's text fills its
+# field with NUL in every byte it does not use, so deleting the NULs leaves
+# the CSV text. Fields are built from lookup tables as little-endian words.
+
+_U4 = np.dtype("<u4")
+_U8 = np.dtype("<u8")
+_SIGN = np.uint64(1 << 63)
+_EXPONENT = np.uint64(0x7FF << 52)
+_SIGNIFICAND = np.uint64((1 << 52) - 1)
 
 
-def _cells(col: np.ndarray) -> tuple[str, list]:
-    """One column slice as (conversion, values) for a %-template: %r gives
-    a float's repr, %d and %s print ints as str does, bools as 0/1."""
+def _digits4() -> np.ndarray:
+    """The four ASCII digits of 0..9999, one word each, in three rows of
+    10000: all four digits; leading zeros as NUL (0 is four NULs); leading
+    zeros as NUL but 0 as "0". An int's groups above its last take row 1,
+    and its last group row 2, when the groups above them are all zero."""
+    n = np.arange(10000, dtype=np.uint16)
+    ascii4 = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1).astype(np.uint8) + 48
+    significant = n[:, None] >= np.array([1000, 100, 10, 1], dtype=np.uint16)
+    rows = [ascii4, ascii4 * significant, ascii4 * (significant | (np.arange(4) == 3))]
+    return np.stack(rows).view(_U4).ravel()
+
+
+_DIGITS4 = _digits4()
+_POW10 = np.cumprod(np.full(22, 10.0)) / 10.0  # 10^0 .. 10^21, each exact
+_HALF_ULP = _POW10 * 2.0**-53  # times the binade of x: half an ulp of x, times 10^k
+_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
+
+# A float's 24-byte field: byte 0 its sign, bytes 1-5 "0.000", byte 6 free
+# and bytes 7-23 its 17 digits. point = 17 - k is where repr puts the
+# decimal point (-3 .. 16), and tables have a row per point (row point + 3).
+# _PREFIX keeps "0." and -point zeros when point <= 0. When point >= 1 the
+# integer digits (bytes 7 .. 6 + point) move down one byte and "." goes to
+# byte 6 + point.
+_KEEP24 = ((np.arange(24) < np.arange(25)[:, None]) * np.uint8(255)).view(_U8)  # row j: bytes < j
+_POINTS = np.arange(-3, 17)
+_PREFIX = np.zeros((_POINTS.size, 8), np.uint8)
+_PREFIX[:, 1:6] = np.frombuffer(b"0.000", np.uint8)
+_PREFIX = _PREFIX.view(_U8)[:, 0] & _KEEP24[np.where(_POINTS <= 0, 3 - _POINTS, 0), 0]
+_INT_PART = np.where((_POINTS >= 1)[:, None], _KEEP24[np.clip(7 + _POINTS, 7, 24)] & ~_KEEP24[7], 0)
+_DOT = np.zeros((_POINTS.size, 24), np.uint8)
+_DOT[_POINTS >= 1, 6 + _POINTS[_POINTS >= 1]] = ord(".")
+_DOT = _DOT.view(_U8)
+
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into halves
+
+
+def _split(a):
+    t = _SPLIT * a
+    high = t - (t - a)
+    return high, a - high
+
+
+_POW10_HIGH, _POW10_LOW = _split(_POW10)
+
+
+def _times_pow10(a, k):
+    """a 10^k exactly, as hi + lo (Dekker's product)."""
+    hi = a * _POW10[k]
+    ah, al = _split(a)
+    ph, pl = _POW10_HIGH[k], _POW10_LOW[k]
+    return hi, al * pl - (((hi - ah * ph) - al * ph) - ah * pl)
+
+
+def _float_text(x: np.ndarray) -> np.ndarray:
+    """repr of each float64 of x, as a (len(x), 24) uint8 field.
+
+    For finite 1e-4 <= |x| < 1e16 whose significand is not a power of two,
+    the digits are found exactly. s = |x| 10^k lies in [1e16, 1e17); every
+    number strictly within h, half an ulp of x times 10^k, of s reads back
+    as x, and repr's digits are those of the number in that interval with
+    the fewest significant digits, the one nearest s among them. The
+    interval is symmetric, so that number is unique unless s lies halfway
+    between two candidates. Only +, -, *, floor, ceil and integer
+    operations decide a digit (log10 only guesses k, which is then checked
+    exactly), so the bytes are the same on any IEEE-754 machine.
+
+    The rest go through repr itself: such halfway ties, intervals with an
+    integer end (whose end can be a shorter number that x's rounding
+    takes), zero, nan, inf, powers of two (whose interval is lopsided) and
+    every value outside the range, which repr writes in scientific notation.
+    """
+    n = len(x)
+    bits = x.view(np.uint64)
+    a = (bits & ~_SIGN).view(np.float64)
+    exact = (a >= 1e-4) & (a < 1e16) & (bits & _SIGNIFICAND != 0)
+    # a stand-in keeps the arithmetic below finite (and the zero search short)
+    a[~exact] = 0.7853981633974483
+    # k = 16 - floor(log10 a), with log10 only a guess: fix it where s is
+    # outside [1e16, 1e17); what stays outside goes through repr
+    k = 16 - np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _times_pow10(a, k)
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        k[fix] += low[fix].astype(np.int64) - high[fix]
+        hi[fix], lo[fix] = _times_pow10(a[fix], k[fix])
+    # s = whole + frac exactly, with frac in [0, 1)
+    t = np.floor(lo)
+    whole = hi.astype(np.int64) + t.astype(np.int64)
+    frac = lo - t
+    h = (a.view(np.uint64) & _EXPONENT).view(np.float64) * _HALF_ULP[k]
+    upper, lower = frac + h, frac - h
+    # the integers strictly inside the interval are (top - width, top], and
+    # the roundest of them is a multiple of 10^zeros: as width <= 23, that
+    # takes more than two zeros only where top % 100 < width
+    top = whole + (np.ceil(upper).astype(np.int64) - 1)
+    width = top - whole - np.floor(lower).astype(np.int64)
+    tens = top // 10
+    hundreds = tens // 10
+    zeros = (top - 10 * tens < width).astype(np.int64)
+    live = np.flatnonzero(top - 100 * hundreds < width)
+    zeros[live] = 2
+    cut = hundreds[live]
+    while live.size:
+        more = cut // 10
+        zero = cut == 10 * more
+        live, cut = live[zero], more[zero]
+        zeros[live] += 1
+    # the multiple of q nearest s, whole + step
+    q = _POW10_INT[zeros]
+    r = whole - whole // q * q
+    gap = (q - 2 * r).astype(np.float64)  # exact wherever it decides
+    step = np.where(2 * frac > gap, q - r, -r)
+    exact &= 2 * frac != gap
+    exact &= (whole >= 10**16) & (whole < 10**17)
+    exact &= (upper != np.ceil(upper)) & (lower != np.floor(lower))
+    digits = whole + step
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    point = 17 - k + carry
+    row = point + 3
+
+    text = np.empty((n, 6), _U4)
+    words = text.view(_U8)
+    upper8 = digits // 10**8
+    lead = upper8 // 10**8
+    sign = (bits >> 63) * np.uint64(ord("-"))
+    words[:, 0] = _PREFIX[row] | sign | (lead.astype(np.uint64) + ord("0")) << 56
+    for j, group in ((2, upper8 - lead * 10**8), (4, digits - upper8 * 10**8)):
+        high4 = group // 10**4
+        text[:, j] = _DIGITS4[high4]
+        text[:, j + 1] = _DIGITS4[group - high4 * 10**4]
+    if (point >= 1).any():
+        moving = np.take(_INT_PART, row, axis=0)
+        moved = (words & moving) >> 8
+        moved[:, :2] |= (words[:, 1:] & moving[:, 1:]) << 56
+        words &= ~moving
+        words |= moved | np.take(_DOT, row, axis=0)
+    words &= np.take(_KEEP24, 7 + np.maximum(17 - zeros, point + 1), axis=0)
+    text = text.view(np.uint8)
+
+    others = np.flatnonzero(~exact)
+    if others.size:
+        reprs = np.array([repr(v).encode() for v in x[others].tolist()], dtype="S24")
+        text[others] = reprs.view(np.uint8).reshape(-1, 24)
+    return text
+
+
+def _int_text(col: np.ndarray) -> np.ndarray:
+    """str of each int of col, as a (len(col), width) uint8 field: the
+    digits right-aligned, preceded by a sign byte when any is negative."""
+    if col.dtype.kind == "u":
+        magnitude, negative = col.astype(np.uint64), None
+    else:
+        col = col.astype(np.int64)
+        magnitude = np.abs(col).view(np.uint64)  # |min| wraps to -2^63, which is 2^63 here
+        negative = col < 0 if col.min() < 0 else None
+    width = len(str(magnitude.max()))
+    groups = -(-width // 4)
+    text = np.empty((len(col), groups), _U4)
+    for g in range(groups - 1, -1, -1):
+        above = magnitude // 10000
+        table = np.uint64(20000 if g == groups - 1 else 10000)  # see _digits4
+        text[:, g] = _DIGITS4[magnitude - above * 10000 + (above == 0) * table]
+        magnitude = above
+    digits = text.view(np.uint8)[:, 4 * groups - width :]
+    if negative is None:
+        return digits
+    field = np.empty((len(col), 1 + width), np.uint8)
+    field[:, 0] = np.where(negative, ord("-"), 0)
+    field[:, 1:] = digits
+    return field
+
+
+def _column_text(col: np.ndarray) -> np.ndarray:
     kind = col.dtype.kind
     if kind == "f":
-        return "%r", col.tolist()
+        return _float_text(col.astype(np.float64))
     if kind == "b":
-        col, kind = col.view(np.uint8), "u"
-    if kind in "iu" and col.min() >= 0 and col.max() < _SMALL_INTS.size:
-        return "%s", _SMALL_INTS[col].tolist()
-    return ("%d" if kind in "iu" else "%s"), col.tolist()
+        return _int_text(col.view(np.uint8))
+    if kind in "iu":
+        return _int_text(col)
+    return col.astype("S").view(np.uint8).reshape(len(col), -1)  # ASCII labels
 
 
 def _row_blocks(*columns):
     """CSV text of equal-length 1-D columns, one string per ROW_BLOCK rows.
 
-    Each block fills one row template, repeated, from its columns' values,
-    so memory stays flat in the row count. repr of a float is the shortest
-    string that round-trips: reruns stay byte-identical.
+    Memory stays flat in the row count. Floats print as repr (the shortest
+    string that round-trips), ints as str and bools as 0/1, so reruns stay
+    byte-identical.
     """
-    n, k = len(columns[0]), len(columns)
+    n = len(columns[0])
     for start in range(0, n, ROW_BLOCK):
-        rows = min(ROW_BLOCK, n - start)
-        values = [None] * (rows * k)
-        conversions = []
-        for j, col in enumerate(columns):
-            conversion, values[j::k] = _cells(col[start : start + rows])
-            conversions.append(conversion)
-        template = ",".join(conversions) + "\n"
-        yield (template * rows) % tuple(values)
+        fields = [_column_text(col[start : start + ROW_BLOCK]) for col in columns]
+        ends = np.cumsum([field.shape[1] + 1 for field in fields])
+        block = np.empty((len(fields[0]), ends[-1]), np.uint8)
+        for field, end in zip(fields, ends):
+            block[:, end - 1 - field.shape[1] : end - 1] = field
+        block[:, ends - 1] = ord(",")
+        block[:, -1] = ord("\n")
+        yield block.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _write_rows(out, *columns) -> None:
@@ -251,6 +444,9 @@ def cmd_diagnose(args) -> int:
     if P.d > 3:
         raise ConfigError("diagnose compares against cell quadrature and needs d <= 3")
     with _open_out(args.out) as out:
+        # the grid draws no randomness: an absurd --bins is refused before sampling
+        bins = args.bins if args.bins is not None else {1: 50, 2: 20, 3: 6}[P.d]
+        grid = oracle.cell_masses(P, f, bins)
         c_mix = _resolve_cmix(args, DESK_CMIX)
         result = run_sampling(
             P,
@@ -263,8 +459,6 @@ def cmd_diagnose(args) -> int:
             oracle=args.oracle,
         )
         plan = result.plan
-        bins = args.bins if args.bins is not None else {1: 50, 2: 20, 3: 6}[P.d]
-        grid = oracle.cell_masses(P, f, bins)
         counts = oracle.histogram_counts(result.points, grid)
         report = oracle.sup_log_ratio(result.points, grid)
         tv = oracle.tv_estimate(result.points, grid)

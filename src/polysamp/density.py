@@ -126,7 +126,9 @@ def linear(c) -> LogDensity:
     c = np.asarray(c, dtype=float).ravel()
     if not np.all(np.isfinite(c)):
         raise ConfigError("linear density coefficients must be finite")
-    return LogDensity(lambda X, _c=c: X @ _c, float(np.linalg.norm(c)), name="linear")
+    with np.errstate(over="ignore"):  # an overflowing norm is refused as L = inf
+        L = float(np.linalg.norm(c))
+    return LogDensity(lambda X, _c=c: X @ _c, L, name="linear")
 
 
 def norm1(level: float, d: int) -> LogDensity:

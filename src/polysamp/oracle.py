@@ -39,6 +39,9 @@ __all__ = [
 
 ACCEPTANCE_GUARD = 1e-4
 WEIGHT_SLACK = 1e-9  # rounding allowed above 1 in an acceptance weight
+# most subnodes a cell grid may integrate over: (bins * subnodes)^d above
+# this is refused (d = 3 at 6 bins, diagnose's default, takes 7.1M)
+QUADRATURE_POINTS = 2**26
 
 
 def box_bounds(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +238,8 @@ def cell_masses(P: Polytope, f: LogDensity, grid_spec, subnodes: int = 32) -> Ce
         closed-form comparisons at the 1e-6 level used in tests).
 
     Masses are exp(-f) integrated with the membership indicator, then
-    normalized to sum 1. All-zero masses (grid misses K) raise ConfigError.
+    normalized to sum 1. All-zero masses (grid misses K), or a grid of more
+    than QUADRATURE_POINTS subnodes, raise ConfigError.
     """
     if P.d > 3:
         raise ConfigError("cell quadrature is for d <= 3")
@@ -243,6 +247,12 @@ def cell_masses(P: Polytope, f: LogDensity, grid_spec, subnodes: int = 32) -> Ce
         raise ConfigError("need at least 32 subnodes per axis per cell")
     lo, hi, nbins = _resolve_grid_spec(P, grid_spec)
     d = P.d
+    points = math.prod(int(k) * subnodes for k in nbins)
+    if points > QUADRATURE_POINTS:
+        raise ConfigError(
+            f"cell grid needs {points} quadrature points, more than {QUADRATURE_POINTS}: "
+            "use fewer bins"
+        )
 
     # All subnode coordinates along each axis, cell-major.
     axis_pts = []

@@ -507,6 +507,26 @@ def reference_erm_rows(out, thetas, tau, fallback, oracle_calls, gaps) -> None:
         )
 
 
+def repr_edge_floats() -> np.ndarray:
+    """Doubles at the edges of the CSV writer's exact path, with both signs.
+
+    Powers of two across its range, the three nearest neighbours on each
+    side of short decimals, its range ends, values that lie halfway between
+    two shortest candidates (repr rounds those half to even), and zero,
+    nan, inf, subnormals and the extremes.
+    """
+    short = np.array([0.1, 0.3, 1e-4, 1e15, 9999999999999998.0, 1e16])
+    neighbours, up, down = [], short, short
+    for _ in range(3):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        neighbours += [up, down]
+    halfway = 2.0**50 + np.array([0.25, 0.75, 1.25, 2.75])
+    halfway = np.concatenate([halfway, [562949953421312.25, 562949953421312.75, 999999999999999.75]])
+    special = np.array([0.0, np.nan, np.inf, 5e-324, 2.2250738585072014e-308, np.finfo(float).max])
+    x = np.concatenate([np.ldexp(1.0, np.arange(-14, 55)), short, *neighbours, halfway, special])
+    return np.concatenate([x, -x])
+
+
 # ---------------------------------------------------------------------------
 # Functions only tests call
 # ---------------------------------------------------------------------------

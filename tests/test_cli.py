@@ -21,6 +21,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from polysamp import cli
@@ -966,6 +968,34 @@ def test_diagnose_dimension_guard(tmp_path, capsys):
     assert "d <= 3" in err
 
 
+@pytest.mark.parametrize("bins", ("100000", "3000"))
+def test_absurd_bins_refused_before_sampling(bins, square_file, tmp_path, capsys, monkeypatch):
+    # the cell grid draws no randomness, so it is built, and refused, first
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the grid")
+
+    monkeypatch.setattr(cli, "run_sampling", no_sampling)
+    out = tmp_path / "diagnose.csv"
+    argv = ["diagnose", "--polytope", str(square_file), "--eps", "0.5", "--oracle", "exact"]
+    code, _, err = run_cli([*argv, "--bins", bins, "--out", str(out)], capsys)
+    assert code == 2
+    want = r"config error: cell grid needs \d+ quadrature points, more than 67108864: use fewer bins\n"
+    assert re.fullmatch(want, err)
+    assert sorted(tmp_path.iterdir()) == [square_file]
+
+
+def test_overflowing_density_prints_only_the_config_error(square_file):
+    # a norm that overflows is refused as an infinite L, with no numpy warning
+    proc = subprocess.run(
+        [sys.executable, "-m", "polysamp", "sample", "--polytope", str(square_file)]
+        + ["--density", "linear:1e308,1e308", "--eps", "0.5"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: Lipschitz constant must be finite and nonnegative\n"
+
+
 # ---------------------------------------------------------------------------
 # erm
 # ---------------------------------------------------------------------------
@@ -1157,10 +1187,10 @@ def test_write_rows_matches_reference_loops(d, n):
 @pytest.mark.parametrize("n", (1, 300))
 @pytest.mark.parametrize("dtype", (np.int64, np.int32, np.int8, np.uint8, np.uint16, np.uint64))
 def test_write_rows_int_and_special_values_match_reference(dtype, n):
-    # ints below, at and above the string table's size, negative ints,
-    # nan/inf/-0.0 coordinates and erm's labels, in blocks of one row too
+    # ints below, at and above 1024, negative ints, nan/inf/-0.0
+    # coordinates and erm's labels, in blocks of one row too
     info = np.iinfo(dtype)
-    table = cli._SMALL_INTS.size
+    table = 1024
     pool = (0, 1, table - 1, table, table + 1, info.max, info.min, -1, -table)
     pool = np.array([v for v in pool if info.min <= v <= info.max], dtype=dtype)
     rng = np.random.default_rng(n)
@@ -1192,6 +1222,55 @@ def test_write_rows_one_bounded_write_per_block():
         assert block.endswith("\n")
         assert block.count("\n") <= cli.ROW_BLOCK
     assert "".join(writes).count("\n") == n
+
+
+def _csv(*columns) -> str:
+    out = io.StringIO()
+    cli._write_rows(out, *columns)
+    return out.getvalue()
+
+
+def _bits_to_float(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+# any double: hypothesis' floats (nan, inf and subnormals included), raw bit
+# patterns, and the exact path's range with either sign
+ANY_DOUBLE = st.one_of(
+    st.floats(),
+    st.integers(0, 2**64 - 1).map(_bits_to_float),
+    st.floats(1e-4, 1e16, exclude_max=True).flatmap(lambda v: st.sampled_from((v, -v))),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(ANY_DOUBLE, min_size=1, max_size=40))
+def test_float_fields_are_repr(values):
+    x = np.array(values, dtype=np.float64)
+    assert _csv(x) == "".join(f"{v!r}\n" for v in x.tolist())
+
+
+def test_float_fields_at_the_exact_paths_edges():
+    x = helpers.repr_edge_floats()
+    assert _csv(x) == "".join(f"{v!r}\n" for v in x.tolist())
+    # the same values beside others, in every block position
+    rng = np.random.default_rng(7)
+    mixed = rng.uniform(-1.0, 1.0, 3 * x.size)
+    mixed[rng.permutation(mixed.size)[: x.size]] = x
+    assert _csv(mixed) == "".join(f"{v!r}\n" for v in mixed.tolist())
+
+
+@pytest.mark.parametrize("dtype", (np.int64, np.uint64, np.int32, np.uint32, np.int8, np.uint8))
+def test_int_fields_cover_their_dtype(dtype):
+    info = np.iinfo(dtype)
+    pool = [info.min, info.min + 1, info.max - 1, info.max, 0, 1, -1, 9, 10, 9999, 10000, 10001]
+    pool += [10**j + d for j in range(2, 20) for d in (-1, 0)] + [-(10**j) for j in range(2, 19)]
+    values = np.array([v for v in pool if info.min <= v <= info.max], dtype=dtype)
+    for col in (values, values[values >= 0], values[:1], values[-1:]):
+        assert _csv(col) == "".join(f"{v}\n" for v in col.tolist())
+    flags = np.array([True, False, True])
+    want = "".join(f"{int(b)},{v}\n" for b, v in zip(flags, values[:3].tolist()))
+    assert _csv(flags, values[:3]) == want
 
 
 def test_module_entry_point(seg_file):

@@ -206,6 +206,16 @@ def test_cell_masses_guards(sq, seg):
         cell_masses(sq, uniform(), (np.array([5.0, 5.0]), np.array([6.0, 6.0]), np.array([4, 4])))
 
 
+def test_cell_masses_refuses_grids_over_the_point_budget(seg, sq):
+    # refused before any allocation: (bins * subnodes)^d over 2^26
+    for P, bins in ((sq, 257), (sq, 100_000), (box([-1.0] * 3, [1.0] * 3), 13), (seg, 2**21 + 1)):
+        with pytest.raises(ConfigError, match="quadrature points"):
+            cell_masses(P, uniform(), bins)
+    with pytest.raises(ConfigError, match="quadrature points"):
+        cell_masses(sq, uniform(), 128, subnodes=65)
+    assert (6 * 32) ** 3 <= oracle.QUADRATURE_POINTS  # diagnose's d = 3 default
+
+
 def test_cell_masses_accepts_existing_grid(seg):
     a = cell_masses(seg, uniform(), 10)
     b = cell_masses(seg, linear(np.array([1.0])), a)
