@@ -44,7 +44,7 @@ from . import __version__, converter, dikin, dp, oracle
 from .density import parse_density
 from .errors import ConfigError, ContractViolation
 from .geometry import load_polytope
-from .pipeline import plan_sampling, run_sampling
+from .pipeline import check_cmix, plan_sampling, run_sampling
 
 DESK_CMIX = 1e-4
 ANALYSIS_CMIX = 1.0
@@ -86,7 +86,7 @@ def _write_header(out, args, params: converter.ConverterParams, T) -> None:
 
 
 def _resolve_cmix(args, default: float) -> float:
-    return args.cmix if args.cmix is not None else default
+    return check_cmix(args.cmix if args.cmix is not None else default)
 
 
 @contextlib.contextmanager
@@ -392,7 +392,7 @@ def cmd_params(args) -> int:
     P, f = _load_inputs(args)
     c_mix = _resolve_cmix(args, DESK_CMIX)
     params = converter.compute_params(args.eps, f.L, P.r, P.R, P.d)
-    T = dikin.mixing_steps(P, f, args.eps, params.delta_log, c_mix)
+    T = dikin.mixing_steps(P, f, params.delta_log, c_mix)
     lines = [
         f"d = {P.d}",
         f"m = {P.m}",
@@ -444,10 +444,12 @@ def cmd_diagnose(args) -> int:
     if P.d > 3:
         raise ConfigError("diagnose compares against cell quadrature and needs d <= 3")
     with _open_out(args.out) as out:
-        # the grid draws no randomness: an absurd --bins is refused before sampling
+        # the grid draws no randomness: an absurd --bins, or one too fine
+        # for --n draws to resolve any cell, is refused before sampling
         bins = args.bins if args.bins is not None else {1: 50, 2: 20, 3: 6}[P.d]
         grid = oracle.cell_masses(P, f, bins)
         c_mix = _resolve_cmix(args, DESK_CMIX)
+        grid.included(args.n)
         result = run_sampling(
             P,
             f,

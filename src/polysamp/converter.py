@@ -186,6 +186,9 @@ class TauSummary:
     pmf_rows: list[tuple[int, float, float, float]]
 
 
+BAND_T_MAX = 8  # largest t that tau_statistics' band checks cover
+
+
 def _tau_array(runs) -> np.ndarray:
     taus = np.asarray(runs.tau if isinstance(runs, SampleBatch) else runs, dtype=np.int64)
     if not taus.size:
@@ -193,17 +196,17 @@ def _tau_array(runs) -> np.ndarray:
     return taus
 
 
-def tau_statistics(runs, eps: float | None = None, t_max: int = 8) -> TauSummary:
+def tau_statistics(runs, eps: float | None = None) -> TauSummary:
     """Summarize halting iterations and test them against the known bands.
 
     Parameters
     ----------
     runs : SampleBatch, or its tau array (any sequence of ints).
     eps : when given, also tests the runtime-privacy band on P(tau = t).
-    t_max : largest t included in the band checks (default 8).
 
-    The 3 sigma slack on every band uses the binomial deviation at the band
-    endpoint, so the bands are deterministic given n.
+    The bands are checked for t = 1..BAND_T_MAX. The 3 sigma slack on every
+    band uses the binomial deviation at the band endpoint, so the bands are
+    deterministic given n.
     """
     taus = _tau_array(runs)
     n = taus.size
@@ -222,7 +225,7 @@ def tau_statistics(runs, eps: float | None = None, t_max: int = 8) -> TauSummary
 
     sandwich_rows = []
     sandwich_ok = True
-    for t in range(1, t_max + 1):
+    for t in range(1, BAND_T_MAX + 1):
         lo_band = 0.5**t - slack(0.5**t)
         hi_band = (2.0 / 3.0) ** t + slack((2.0 / 3.0) ** t)
         value = survival[t]
@@ -234,7 +237,7 @@ def tau_statistics(runs, eps: float | None = None, t_max: int = 8) -> TauSummary
     pmf_ok: bool | None = None
     if eps is not None:
         pmf_ok = True
-        for t in range(1, t_max + 1):
+        for t in range(1, BAND_T_MAX + 1):
             center = 0.5**t
             lo_band = center * math.exp(-eps / 2.0) - slack(center * math.exp(-eps / 2.0))
             hi_band = center * math.exp(eps / 2.0) + slack(min(center * math.exp(eps / 2.0), 1.0))

@@ -3,14 +3,11 @@
 The target distribution is always pi proportional to exp(-f) restricted to
 the polytope. Code in this package never needs normalizing constants, just
 f values, so a LogDensity is a vectorized evaluator plus the constant L
-that the parameter schedule consumes. Evaluations are counted (telemetry
-for oracle-call budgets); the counter is the only mutable state and is
-guarded by a lock so parallel chains can share one instance.
+that the parameter schedule consumes. A LogDensity holds no mutable state:
+any number of walks, samplers and forked chunk workers can share one.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -34,16 +31,9 @@ class LogDensity:
         self._fn = fn
         self.L = float(L)
         self.name = name
-        self._count = 0
-        self._lock = threading.Lock()
-
-    @property
-    def call_count(self) -> int:
-        """Number of points evaluated so far."""
-        return self._count
 
     def eval_many(self, X) -> np.ndarray:
-        """Evaluate f at each row of X, counting one call per row."""
+        """Evaluate f at each row of X."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             X = np.atleast_2d(X)
@@ -55,12 +45,10 @@ class LogDensity:
             )
         if not np.isfinite(vals).all():
             raise ValueError(f"density '{self.name}' returned non-finite values")
-        with self._lock:
-            self._count += X.shape[0]
         return vals
 
     def __call__(self, theta) -> float:
-        """Evaluate f at a single point (counts one call)."""
+        """Evaluate f at a single point."""
         return float(self.eval_many(np.ravel(np.asarray(theta, dtype=float))[None, :])[0])
 
     def __repr__(self) -> str:
@@ -71,7 +59,7 @@ def shifted(g: LogDensity, t) -> LogDensity:
     """Reparameterize under a translation: returns theta -> g(theta + t).
 
     Companion to geometry.normalize; the Lipschitz constant is unchanged.
-    The result has a fresh call counter.
+    A zero shift reuses g's evaluator as it is.
     """
     t = np.asarray(t, dtype=float).ravel()
     if np.all(t == 0):

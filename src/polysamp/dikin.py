@@ -75,18 +75,14 @@ def warm_start_many(P: Polytope, rng: np.random.Generator, n: int) -> np.ndarray
     return P.center + P.r * sample_unit_ball_many(rng, n, P.d)
 
 
-def mixing_steps(P: Polytope, f: LogDensity, eps: float, delta_log: float, c_mix: float) -> int:
+def mixing_steps(P: Polytope, f: LogDensity, delta_log: float, c_mix: float) -> int:
     """Step budget per independent sample.
 
     T = max(1, ceil(c_mix * (m^2 d^3 + m^2 d L^2 R^2) * (log w - delta_log)))
     with warmness log w = d log(R/r) + R L. delta_log is the natural log of
     the TV target and is consumed in log domain only (the target itself
-    underflows long before d gets interesting). eps is accepted for
-    interface symmetry with the schedule and sanity-checked, nothing more;
-    the step count depends on the TV target, not on eps directly.
+    underflows long before d gets interesting).
     """
-    if not (eps > 0):
-        raise ValueError("eps must be positive")
     if not (0 < c_mix < math.inf):
         raise ValueError(f"c_mix must be finite and positive, got {c_mix!r}")
     if not np.isfinite(delta_log):
@@ -107,6 +103,12 @@ def mixing_steps(P: Polytope, f: LogDensity, eps: float, delta_log: float, c_mix
 # threaded products burnt a second core for no wall-clock gain) and keeps
 # the block's scratch arrays in cache.
 BLOCK = 4096
+
+# A start is refused when a pivot L_jj^2 of its Hessian is at most
+# PIVOT_FLOOR * H_jj, 8 ulps: within the rounding error of the operations
+# that made it (near-facet starts left noise of up to 3 ulps; starts in a
+# 1e-7 slab kept every pivot above 60 ulps).
+PIVOT_FLOOR = 2.0**-49
 
 
 def _row_blocks(n: int) -> list[slice]:
@@ -151,7 +153,10 @@ class _Barrier:
     it, and log det H is the sum of the logs of the pivots, so for d = 1 it
     is log(h) itself. A step runs one factorization: that of H(y), which
     gives log det H(y) and is kept as the chain's L when the move is
-    accepted.
+    accepted. log det H and the quadratic forms feed only the Metropolis
+    test: how they round can move an output byte only where U lands within
+    a rounding error of the acceptance probability, so one algebra serves
+    every d.
 
     Every view a step works on is made here, once: numpy makes a new view
     object on every indexing, and on a small block that costs more than
@@ -171,7 +176,8 @@ class _Barrier:
         self.state, self.prop = np.zeros((size, k)), np.zeros((size, k))
         self.ld, self.ldy = self.state[0], self.prop[0]
         H, Hy = self.state[1 : 1 + E], self.prop[1 : 1 + E]
-        self.Hx_rows, self.Hy_rows, self.Hy3 = tuple(H), tuple(Hy), Hy[:, :, None]
+        self.hy00, self.Hy3 = Hy[0], Hy[:, :, None]
+        self.Hdiag, self.Ldiag = 1 + starts[:-1], self.state[1 + E :: d + 1]
 
         # per-chain arrays of the walk, and this block's share of its scratch
         self.G, self.U, self.Y = walk.G[sl], walk.U[sl], walk.Y[sl]
@@ -182,7 +188,7 @@ class _Barrier:
         self.flags, self.accept = walk.flags[:k], walk.accept[:k]
         self.moved = _scratch(walk.movedbuf, size, k)  # accept, once per state row
         z, v = _scratch(walk.zbuf, d, k), _scratch(walk.vbuf, d, k)
-        t = _scratch(walk.tbuf, max(d, 4), k)
+        t = _scratch(walk.tbuf, max(d, 2), k)
         vv = _scratch(walk.vvbuf, E, k)
         self.z, self.zs, self.vs, self.t = z, list(z), list(v), list(t)
         self.logs = t[1:d]  # log pivots 1..d-1
@@ -212,6 +218,15 @@ class _Barrier:
         np.divide(1.0, self.S, out=self.S)
         self.at_proposals()
         self.state[...] = self.prop
+
+    def factors(self) -> bool:
+        """Whether H at the chain points is finite and every pivot clears
+        PIVOT_FLOOR. A chain whose factor is nan would reject every
+        proposal, and one whose pivot is rounding noise would barely move."""
+        return bool(
+            np.isfinite(self.state).all()
+            and (np.square(self.Ldiag) > PIVOT_FLOOR * self.state[self.Hdiag]).all()
+        )
 
     @staticmethod
     def _factor_plan(column, H, L, t) -> list[tuple]:
@@ -246,7 +261,7 @@ class _Barrier:
 
     def logdet(self) -> None:
         """log det H(y) from the pivots ``factor`` left behind."""
-        np.log(self.Hy_rows[0], out=self.ldy)
+        np.log(self.hy00, out=self.ldy)
         if len(self.logs):
             np.log(self.logs, out=self.logs)
             self.ldy += np.sum(self.logs, axis=0, out=self.t[0])
@@ -272,38 +287,6 @@ class _Barrier:
         np.subtract(self.dq, qx, out=self.dq)
 
 
-class _Barrier2D(_Barrier):
-    """d = 2 keeps the closed forms log(h11 h22 - h12^2) and the quadratic
-    form summed left to right, which the d = 2 walk's output depends on bit
-    for bit."""
-
-    def logdet(self):
-        h11, h12, h22 = self.Hy_rows
-        np.multiply(h11, h22, out=self.ldy)
-        self.ldy -= np.square(h12, out=self.t[0])
-        np.log(self.ldy, out=self.ldy)
-
-    def _quad(self, H, v00, v11, out, tmp):
-        # h11 v0^2 + 2 h12 v0 v1 + h22 v1^2, summed left to right
-        h11, h12, h22 = H
-        v0, v1 = self.vs
-        np.multiply(h11, v00, out=out)
-        cross = np.multiply(h12, 2.0, out=tmp)
-        cross *= v0
-        cross *= v1
-        out += cross
-        out += np.multiply(h22, v11, out=tmp)
-        return out
-
-    def dquad(self):
-        t0, t1, t2, t3 = self.t
-        v00 = np.square(self.vs[0], out=t0)
-        v11 = np.square(self.vs[1], out=t1)
-        qx = self._quad(self.Hx_rows, v00, v11, t2, t3)
-        self._quad(self.Hy_rows, v00, v11, self.dq, t3)
-        np.subtract(self.dq, qx, out=self.dq)
-
-
 def run_chains_batch(
     P: Polytope,
     f: LogDensity,
@@ -316,8 +299,8 @@ def run_chains_batch(
     Parameters
     ----------
     X0 : (n, d) array of strictly interior starting points, at each of
-        which the barrier Hessian must be finite and factor in floating
-        point (a chain whose factor is nan would reject every proposal).
+        which the barrier Hessian must be finite and factor with every
+        pivot above the rounding floor (``_Barrier.factors``).
 
     Returns
     -------
@@ -332,13 +315,14 @@ def run_chains_batch(
     if np.any(S <= 0):
         raise ValueError("all chains must start strictly inside the polytope")
     walk = _Walk(P, f, cfg, X, S)
-    if not all(np.isfinite(blk.state).all() for blk in walk.blocks):
+    if not all(blk.factors() for blk in walk.blocks):
         raise ValueError("the barrier Hessian does not factor at some starting point")
     return walk.run(rng)
 
 
 class _Walk:
-    """The lockstep walk, in row blocks over preallocated buffers.
+    """The lockstep walk, in row blocks over preallocated buffers: one
+    ``_Barrier`` per block, the same code for every d.
 
     A step draws G and U for the whole batch first, so the random stream does
     not depend on the blocking. Every f evaluation covers the whole batch,
@@ -377,10 +361,9 @@ class _Walk:
         self.accept = np.empty(rows, dtype=bool)
         self.movedbuf = np.empty((1 + E + d * d) * rows, dtype=bool)
         self.zbuf, self.vbuf = np.empty(d * rows), np.empty(d * rows)
-        self.tbuf, self.vvbuf = np.empty(max(d, 4) * rows), np.empty(E * rows)
-        kind = _Barrier2D if d == 2 else _Barrier
+        self.tbuf, self.vvbuf = np.empty(max(d, 2) * rows), np.empty(E * rows)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            self.blocks = [kind(self, sl, P.A, S[sl]) for sl in slices]
+            self.blocks = [_Barrier(self, sl, P.A, S[sl]) for sl in slices]
 
     def run(self, rng: np.random.Generator) -> tuple[np.ndarray, int]:
         accepts = 0
@@ -444,34 +427,36 @@ class _Walk:
         return n_acc
 
 
-def tune_eta(
-    P: Polytope,
-    f: LogDensity,
-    rng: np.random.Generator,
-    eta0: float = 0.1,
-    band: tuple[float, float] = (0.3, 0.7),
-    pilot_steps: int = 500,
-    pilot_chains: int = 64,
-    max_rounds: int = 24,
-) -> tuple[float, float]:
-    """Tune the step scale until pilot acceptance lands in ``band``.
+# eta tuning: the first eta, the target acceptance band, each pilot
+# round's chains and steps, and the most rounds before giving up
+TUNE_ETA0 = 0.1
+TUNE_BAND = (0.3, 0.7)
+PILOT_CHAINS = 64
+PILOT_STEPS = 500
+PILOT_ROUNDS = 24
 
-    Doubling/halving walks eta toward the band; once the band is bracketed
-    the search bisects in log space. Acceptance is monotone decreasing in
-    eta for these walks, so this terminates quickly in practice.
+
+def tune_eta(P: Polytope, f: LogDensity, rng: np.random.Generator) -> tuple[float, float]:
+    """Tune the step scale until pilot acceptance lands in ``TUNE_BAND``.
+
+    Each round walks PILOT_CHAINS warm-started chains PILOT_STEPS steps,
+    starting from eta = TUNE_ETA0. Doubling/halving walks eta toward the
+    band; once the band is bracketed the search bisects in log space.
+    Acceptance is monotone decreasing in eta for these walks, so this
+    terminates quickly in practice.
 
     Returns (eta, acceptance_rate). Raises RuntimeError if the band cannot
-    be hit within max_rounds (which indicates a degenerate instance).
+    be hit within PILOT_ROUNDS (which indicates a degenerate instance).
     """
-    lo, hi = band
-    eta = float(eta0)
+    lo, hi = TUNE_BAND
+    eta = TUNE_ETA0
     small = None  # largest eta seen with acceptance above the band
     big = None    # smallest eta seen with acceptance below the band
-    for _ in range(max_rounds):
-        cfg = WalkConfig(eta=eta, T=pilot_steps)
-        X0 = warm_start_many(P, rng, pilot_chains)
+    for _ in range(PILOT_ROUNDS):
+        cfg = WalkConfig(eta=eta, T=PILOT_STEPS)
+        X0 = warm_start_many(P, rng, PILOT_CHAINS)
         _, acc_count = run_chains_batch(P, f, cfg, X0, rng)
-        acc = acc_count / (pilot_chains * pilot_steps)
+        acc = acc_count / (PILOT_CHAINS * PILOT_STEPS)
         if lo <= acc <= hi:
             return eta, acc
         if acc > hi:
@@ -486,7 +471,7 @@ def tune_eta(
             eta /= 2.0
     raise RuntimeError(
         f"step-scale tuning did not reach acceptance in [{lo}, {hi}] "
-        f"within {max_rounds} pilot rounds (last eta={eta:g})"
+        f"within {PILOT_ROUNDS} pilot rounds (last eta={eta:g})"
     )
 
 

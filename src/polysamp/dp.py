@@ -207,7 +207,12 @@ def private_erm_batch(
 # ---------------------------------------------------------------------------
 
 
-def enumerate_vertices(P: Polytope, tol: float = 1e-9) -> np.ndarray:
+# a vertex may violate a row by VERTEX_TOL * max |b|; vertices that round
+# to the same multiple of VERTEX_TOL count as one
+VERTEX_TOL = 1e-9
+
+
+def enumerate_vertices(P: Polytope) -> np.ndarray:
     """All vertices of K by exhaustive facet intersection (d <= 3).
 
     Solves every d-subset of the constraint rows and keeps the feasible,
@@ -227,11 +232,11 @@ def enumerate_vertices(P: Polytope, tol: float = 1e-9) -> np.ndarray:
             continue
         if not np.all(np.isfinite(v)):
             continue
-        if np.all(P.A @ v <= P.b + tol * scale):
+        if np.all(P.A @ v <= P.b + VERTEX_TOL * scale):
             verts.append(v)
     if not verts:
         raise ConfigError("no vertices found; polytope looks degenerate")
     V = np.array(verts)
     # Dedupe on a rounded key; exact duplicates arise whenever > d facets meet.
-    _, keep = np.unique(np.round(V / max(tol, 1e-12)).astype(np.int64), axis=0, return_index=True)
+    _, keep = np.unique(np.round(V / VERTEX_TOL).astype(np.int64), axis=0, return_index=True)
     return V[np.sort(keep)]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -38,6 +37,9 @@ __all__ = [
 ]
 
 ACCEPTANCE_GUARD = 1e-4
+PILOT_DRAWS = 4096  # box proposals that estimate the acceptance rate
+DRAW_CHUNK = 500_000  # most box proposals in one round of ExactSampler.draw
+MIN_EXPECTED = 100.0  # expected count n * mass that puts a cell in sup_log_ratio
 WEIGHT_SLACK = 1e-9  # rounding allowed above 1 in an acceptance weight
 # most subnodes a cell grid may integrate over: (bins * subnodes)^d above
 # this is refused (d = 3 at 6 bins, diagnose's default, takes 7.1M)
@@ -68,11 +70,9 @@ def box_bounds(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _corner_radius(lo: np.ndarray, hi: np.ndarray, center: np.ndarray) -> float:
-    """Largest distance from ``center`` to a corner of the box."""
-    worst = 0.0
-    for corner in product(*zip(lo, hi)):
-        worst = max(worst, float(np.linalg.norm(np.array(corner) - center)))
-    return worst
+    """Largest distance from ``center`` to a corner of the box: the corner
+    that takes the farther bound on every axis."""
+    return float(np.linalg.norm(np.maximum(hi - center, center - lo)))
 
 
 class ExactSampler:
@@ -84,20 +84,14 @@ class ExactSampler:
     so the acceptance weight never exceeds 1 and accepted points are exactly
     pi-distributed. A weight above 1 (beyond rounding) proves the declared L
     too small, and the pilot or the draw that meets it raises
-    ContractViolation. Construction runs a pilot batch and refuses instances
-    whose estimated acceptance falls below ``guard`` (the whole design
+    ContractViolation. Construction runs a pilot of PILOT_DRAWS proposals and
+    refuses instances whose estimated acceptance falls below
+    ACCEPTANCE_GUARD (the whole design
     trades efficiency for exactness; a starved rejection loop means the
     instance is too large for an oracle, not that the oracle should adapt).
     """
 
-    def __init__(
-        self,
-        P: Polytope,
-        f: LogDensity,
-        rng: np.random.Generator,
-        pilot: int = 4096,
-        guard: float = ACCEPTANCE_GUARD,
-    ):
+    def __init__(self, P: Polytope, f: LogDensity, rng: np.random.Generator):
         if P.d > 8:
             raise ConfigError("rejection oracle is a desk-scale tool (d <= 8)")
         self.P = P
@@ -106,12 +100,12 @@ class ExactSampler:
         rho = _corner_radius(self.lo, self.hi, P.center)
         self.f_lower = f(P.center) - f.L * rho
 
-        acc = self._accept_probs(self._propose(rng, pilot))
+        acc = self._accept_probs(self._propose(rng, PILOT_DRAWS))
         self.pilot_acceptance = float(acc.mean())
-        if self.pilot_acceptance < guard:
+        if self.pilot_acceptance < ACCEPTANCE_GUARD:
             raise ConfigError(
                 f"rejection acceptance ~{self.pilot_acceptance:.2e} is below the "
-                f"{guard:.0e} guard; use a smaller instance (or a tighter box) "
+                f"{ACCEPTANCE_GUARD:.0e} guard; use a smaller instance (or a tighter box) "
                 "for the exact oracle"
             )
 
@@ -142,14 +136,14 @@ class ExactSampler:
         probs[member] = w
         return probs
 
-    def draw(self, rng: np.random.Generator, n: int, max_chunk: int = 500_000) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n exact draws from pi, shape (n, d)."""
         out = np.empty((n, self.P.d))
         got = 0
         rate = max(self.pilot_acceptance, ACCEPTANCE_GUARD)
         while got < n:
             want = n - got
-            k = min(max_chunk, int(want / rate * 1.2) + 64)
+            k = min(DRAW_CHUNK, int(want / rate * 1.2) + 64)
             X = self._propose(rng, k)
             accept = rng.random(k) < self._accept_probs(X)
             taken = X.compress(accept, axis=0)[:want]
@@ -184,8 +178,16 @@ class CellGrid:
     def n_cells(self) -> int:
         return int(np.prod(self.nbins))
 
-    def widths(self) -> np.ndarray:
-        return (self.hi - self.lo) / self.nbins
+    def included(self, n: int) -> np.ndarray:
+        """Mask of the cells whose expected count n * mass reaches
+        MIN_EXPECTED; ValueError when no cell does."""
+        included = n * self.masses >= MIN_EXPECTED
+        if not np.any(included):
+            raise ValueError(
+                f"no cell reaches the expected-count threshold {MIN_EXPECTED}; "
+                "increase the sample size or coarsen the grid"
+            )
+        return included
 
     def cell_index(self, X) -> np.ndarray:
         """Flattened cell index of each point; points must lie in the box."""
@@ -324,11 +326,11 @@ class SupLogRatio:
         return float(np.max(np.abs(self.log_ratio) / self.sigma))
 
 
-def sup_log_ratio(samples, grid: CellGrid, min_expected: float = 100.0) -> SupLogRatio:
+def sup_log_ratio(samples, grid: CellGrid) -> SupLogRatio:
     """Compare empirical cell frequencies against exact cell masses.
 
     A cell enters the statistic iff its expected count n * mass reaches
-    ``min_expected``; the rest are excluded and reported (an excluded cell
+    ``MIN_EXPECTED``; the rest are excluded and reported (an excluded cell
     means the sample size cannot resolve that cell, not that it passed).
     Included cells with zero observed count yield an infinite statistic,
     the division-by-zero sentinel.
@@ -337,13 +339,7 @@ def sup_log_ratio(samples, grid: CellGrid, min_expected: float = 100.0) -> SupLo
     pts = getattr(samples, "points", samples)
     n = np.atleast_2d(pts).shape[0]
 
-    expected = n * grid.masses
-    included = expected >= min_expected
-    if not np.any(included):
-        raise ValueError(
-            f"no cell reaches the expected-count threshold {min_expected}; "
-            "increase the sample size or coarsen the grid"
-        )
+    included = grid.included(n)
     excluded = [
         (int(c), float(grid.masses[c]), int(counts[c]))
         for c in np.flatnonzero(~included)

@@ -44,6 +44,7 @@ __all__ = [
     "rng_stream",
     "SamplingPlan",
     "SamplingResult",
+    "check_cmix",
     "plan_sampling",
     "run_sampling",
 ]
@@ -222,6 +223,13 @@ class SamplingResult(converter.SampleBatch):
     plan: SamplingPlan
 
 
+def check_cmix(c_mix: float) -> float:
+    """c_mix, refused unless finite and positive."""
+    if not (0 < c_mix < math.inf):
+        raise ConfigError(f"c_mix must be finite and positive, got {c_mix!r}")
+    return c_mix
+
+
 def plan_sampling(
     P: Polytope,
     f: LogDensity,
@@ -245,8 +253,7 @@ def plan_sampling(
         raise ConfigError(f"seed must be in [0, {MAX_SEED})")
     if chunk < 1:
         raise ConfigError("chunk size must be positive")
-    if not (0 < c_mix < math.inf):
-        raise ConfigError(f"c_mix must be finite and positive, got {c_mix!r}")
+    check_cmix(c_mix)
 
     Pn, translation = normalize(P)
     fn = shifted(f, translation)
@@ -254,7 +261,7 @@ def plan_sampling(
 
     T = eta_used = None
     if oracle == "dikin":
-        T = dikin.mixing_steps(Pn, fn, eps, params.delta_log, c_mix)
+        T = dikin.mixing_steps(Pn, fn, params.delta_log, c_mix)
         if eta is None:
             eta_used, _ = dikin.tune_eta(Pn, fn, rng_stream(seed, AUX_STREAM))
         else:

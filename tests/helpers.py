@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Decimal, getcontext
+from itertools import product
 
 import numpy as np
 
@@ -469,6 +470,14 @@ def reference_exact_draw(sampler, rng: np.random.Generator, n: int) -> np.ndarra
     return out
 
 
+def reference_corner_radius(lo: np.ndarray, hi: np.ndarray, center: np.ndarray) -> float:
+    """``oracle._corner_radius`` as the loop over all 2^d corners it was."""
+    worst = 0.0
+    for corner in product(*zip(lo, hi)):
+        worst = max(worst, float(np.linalg.norm(np.array(corner) - center)))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # Reference CSV row writers
 # ---------------------------------------------------------------------------
@@ -587,6 +596,20 @@ def utility_gap(inst: ErmInstance, theta_hat: np.ndarray) -> float:
     vertices = enumerate_vertices(inst.polytope)
     best = float(np.min(vertices @ csum))
     return float(theta_hat @ csum - best)
+
+
+class CountingDensity(LogDensity):
+    """f as it is, counting the points it evaluates, for tests that compare
+    how many evaluations two code paths make."""
+
+    def __init__(self, f: LogDensity):
+        super().__init__(f._fn, f.L, f.name)
+        self.count = 0
+
+    def eval_many(self, X) -> np.ndarray:
+        vals = super().eval_many(X)
+        self.count += vals.shape[0]
+        return vals
 
 
 def loss_sum(C) -> LogDensity:

@@ -984,6 +984,22 @@ def test_absurd_bins_refused_before_sampling(bins, square_file, tmp_path, capsys
     assert sorted(tmp_path.iterdir()) == [square_file]
 
 
+def test_unresolvable_grid_refused_before_sampling(seg_file, capsys, monkeypatch):
+    # 100 draws over 50 cells of the segment: no cell expects 100 of them
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the grid")
+
+    monkeypatch.setattr(cli, "run_sampling", no_sampling)
+    argv = ["diagnose", "--polytope", str(seg_file), "--eps", "0.5", "--n", "100", "--bins", "50"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "config error: no cell reaches the expected-count threshold 100.0; "
+        "increase the sample size or coarsen the grid\n"
+    )
+
+
 def test_overflowing_density_prints_only_the_config_error(square_file):
     # a norm that overflows is refused as an infinite L, with no numpy warning
     proc = subprocess.run(

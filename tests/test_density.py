@@ -49,15 +49,6 @@ def test_loss_sum_matches_sum_of_linears():
     assert f.L == pytest.approx(np.linalg.norm(C.sum(axis=0)))
 
 
-def test_call_count_tracks_rows(rng):
-    f = linear([1.0])
-    assert f.call_count == 0
-    f.eval_many(rng.standard_normal((7, 1)))
-    assert f.call_count == 7
-    f([0.5])
-    assert f.call_count == 8
-
-
 def test_eval_many_validates(rng):
     f = linear([1.0, 1.0])
     with pytest.raises(ValueError):
@@ -70,7 +61,6 @@ def test_eval_many_validates(rng):
 def test_shifted_translates_argument():
     f = linear([2.0, 0.0])
     g = shifted(f, [1.0, 5.0])
-    assert g.call_count == 0  # fresh counter
     assert g.L == f.L
     assert g([0.0, 0.0]) == pytest.approx(f([1.0, 5.0]))
 

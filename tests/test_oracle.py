@@ -63,6 +63,20 @@ def test_box_bounds_tightens_off_center_box():
     assert np.allclose(hi, [3.0, 2.0])
 
 
+def test_corner_radius_matches_corner_loop():
+    """The farthest corner takes the farther bound on every axis: same bits
+    as the norm of every corner, on boxes of mixed scales, d = 1..8."""
+    rng = np.random.default_rng(17)
+    for d in range(1, 9):
+        for _ in range(200):
+            scale = 10.0 ** rng.integers(-6, 7, d)
+            lo = -rng.random(d) * scale
+            hi = rng.random(d) * scale
+            center = lo + (hi - lo) * rng.random(d)
+            want = helpers.reference_corner_radius(lo, hi, center)
+            assert oracle._corner_radius(lo, hi, center) == want
+
+
 def test_exact_sampler_uniform_box_accepts_everything(sq, rng):
     s = ExactSampler(sq, uniform(), rng)
     assert s.pilot_acceptance == 1.0
@@ -121,16 +135,16 @@ def test_exact_sampler_rejects_under_declared_lipschitz(sq):
 def test_exact_sampler_draw_matches_reference(shape, sq):
     # every box proposal lies in the square; some miss the triangle
     P = sq if shape == "square" else triangle()
-    f = linear(np.array([1.0, 0.5]))
+    f = helpers.CountingDensity(linear(np.array([1.0, 0.5])))
     s = ExactSampler(P, f, np.random.default_rng(1))
     inside = contains_many(P, s._propose(np.random.default_rng(2), 1000))
     assert inside.all() == (shape == "square")
-    before = f.call_count
+    before = f.count
     got = s.draw(np.random.default_rng(5), 3000)
-    got_evals = f.call_count - before
+    got_evals = f.count - before
     want = helpers.reference_exact_draw(s, np.random.default_rng(5), 3000)
     assert np.array_equal(got, want)
-    assert got_evals == f.call_count - before - got_evals
+    assert got_evals == f.count - before - got_evals
 
 
 def test_exact_sampler_draw_checks_weights(sq):
