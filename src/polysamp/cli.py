@@ -449,7 +449,13 @@ def cmd_diagnose(args) -> int:
         bins = args.bins if args.bins is not None else {1: 50, 2: 20, 3: 6}[P.d]
         grid = oracle.cell_masses(P, f, bins)
         c_mix = _resolve_cmix(args, DESK_CMIX)
-        grid.included(args.n)
+        need = grid.min_n()
+        if args.n < need:
+            raise ConfigError(
+                f"no cell reaches the expected-count threshold {oracle.MIN_EXPECTED} "
+                f"at --n {args.n}; the heaviest cell needs --n {need} or more "
+                "(or coarsen the grid)"
+            )
         result = run_sampling(
             P,
             f,

@@ -33,12 +33,14 @@ converter's per-round requests from the endpoints it holds.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .density import LogDensity
+from .errors import ConfigError
 from .geometry import Polytope, all_rows, sample_unit_ball_many
 
 __all__ = [
@@ -46,6 +48,7 @@ __all__ = [
     "run_chains_batch",
     "warm_start_many",
     "mixing_steps",
+    "search_eta",
     "tune_eta",
     "WalkPool",
 ]
@@ -427,38 +430,49 @@ class _Walk:
         return n_acc
 
 
-# eta tuning: the first eta, the target acceptance band, each pilot
-# round's chains and steps, and the most rounds before giving up
-TUNE_ETA0 = 0.1
+# eta tuning: the target acceptance band; the first eta and the grid
+# TUNE_ETA_MIN * 2**j it descends; each pilot's chains and steps; the most
+# pilots before giving up
 TUNE_BAND = (0.3, 0.7)
-PILOT_CHAINS = 64
-PILOT_STEPS = 500
+TUNE_ETA0 = 0.8
+TUNE_ETA_MIN = 0.1
+PILOT_CHAINS = 512
+PILOT_STEPS = 64
 PILOT_ROUNDS = 24
 
 
-def tune_eta(P: Polytope, f: LogDensity, rng: np.random.Generator) -> tuple[float, float]:
-    """Tune the step scale until pilot acceptance lands in ``TUNE_BAND``.
+def search_eta(pilot: Callable[[float], float]) -> tuple[float, float]:
+    """The first eta whose pilot(eta) acceptance is in ``TUNE_BAND``.
 
-    Each round walks PILOT_CHAINS warm-started chains PILOT_STEPS steps,
-    starting from eta = TUNE_ETA0. Doubling/halving walks eta toward the
-    band; once the band is bracketed the search bisects in log space.
-    Acceptance is monotone decreasing in eta for these walks, so this
-    terminates quickly in practice.
+    From TUNE_ETA0 the search halves eta until a pilot reads above the band
+    or eta reaches TUNE_ETA_MIN; the lowest eta read that is not above the
+    band is where a climb from TUNE_ETA_MIN would first stop doubling. From
+    there it doubles eta while a pilot reads above the band, halves it
+    while one reads below, and bisects in log space once the band is
+    bracketed.
 
-    Returns (eta, acceptance_rate). Raises RuntimeError if the band cannot
-    be hit within PILOT_ROUNDS (which indicates a degenerate instance).
+    Returns (eta, acceptance). Raises ConfigError after PILOT_ROUNDS
+    pilots without a reading in band.
     """
     lo, hi = TUNE_BAND
-    eta = TUNE_ETA0
     small = None  # largest eta seen with acceptance above the band
     big = None    # smallest eta seen with acceptance below the band
-    for _ in range(PILOT_ROUNDS):
-        cfg = WalkConfig(eta=eta, T=PILOT_STEPS)
-        X0 = warm_start_many(P, rng, PILOT_CHAINS)
-        _, acc_count = run_chains_batch(P, f, cfg, X0, rng)
-        acc = acc_count / (PILOT_CHAINS * PILOT_STEPS)
-        if lo <= acc <= hi:
-            return eta, acc
+    eta, acc = TUNE_ETA0, pilot(TUNE_ETA0)
+    pilots = 1
+    while acc <= hi and eta > TUNE_ETA_MIN:
+        below = pilot(eta / 2.0)
+        pilots += 1
+        if below > hi:
+            small = eta / 2.0
+            break
+        eta, acc = eta / 2.0, below
+    while not lo <= acc <= hi:
+        if pilots == PILOT_ROUNDS:
+            raise ConfigError(
+                f"step-scale tuning did not reach acceptance in [{lo}, {hi}] "
+                f"within {PILOT_ROUNDS} pilot rounds (last eta={eta:g}, "
+                f"acceptance {acc:.3f})"
+            )
         if acc > hi:
             small = eta if small is None else max(small, eta)
         else:
@@ -469,10 +483,44 @@ def tune_eta(P: Polytope, f: LogDensity, rng: np.random.Generator) -> tuple[floa
             eta *= 2.0
         else:
             eta /= 2.0
-    raise RuntimeError(
-        f"step-scale tuning did not reach acceptance in [{lo}, {hi}] "
-        f"within {PILOT_ROUNDS} pilot rounds (last eta={eta:g})"
-    )
+        acc = pilot(eta)
+        pilots += 1
+    return eta, acc
+
+
+def tune_eta(P: Polytope, f: LogDensity, rng: np.random.Generator) -> tuple[float, float]:
+    """Tune the step scale until pilot acceptance lands in ``TUNE_BAND``.
+
+    The search (``search_eta``) starts at eta = 0.8, where most instances
+    land: the proposal is affine invariant, so acceptance at a given eta
+    barely depends on the polytope. It first descends the grid 0.1 * 2**j
+    until a pilot reads above the band or eta reaches 0.1, then doubles,
+    halves and bisects as the climb from 0.1 it replaced did. On any
+    monotone decreasing acceptance curve it returns that climb's eta (if the
+    climb needs at most PILOT_ROUNDS - 3 pilots), in 2 pilots where the
+    climb took 4 for eta = 0.8 and 5 for 1.6.
+
+    Each pilot walks PILOT_CHAINS warm-started chains PILOT_STEPS steps in
+    one lockstep call on rng: 32,768 proposals, in 8x fewer steps than 64
+    chains x 500, because a lockstep step costs about as much on a few
+    chains as on a few hundred. Chains this short still sit near their
+    warm starts; against the rate of 256 chains after 3,000 steps, the
+    512 x 64 pilot read within 0.012 either way (mean of 4 pilots, uniform
+    density on a segment, a 100 x 1 rectangle, the d = 5 simplex and a
+    random d = 3 polytope, at eta = 0.8 and 1.6), the 64 x 500 one within
+    0.006.
+
+    Returns (eta, acceptance_rate). Raises ConfigError if the band cannot
+    be hit within PILOT_ROUNDS pilots (a degenerate instance).
+    """
+
+    def pilot(eta: float) -> float:
+        cfg = WalkConfig(eta=eta, T=PILOT_STEPS)
+        X0 = warm_start_many(P, rng, PILOT_CHAINS)
+        _, accepts = run_chains_batch(P, f, cfg, X0, rng)
+        return accepts / (PILOT_CHAINS * PILOT_STEPS)
+
+    return search_eta(pilot)
 
 
 # ---------------------------------------------------------------------------

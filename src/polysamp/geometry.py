@@ -21,6 +21,10 @@ from .errors import ConfigError, ContractViolation
 # degenerate constraint, not a facet.
 ROW_NORM_FLOOR = 1e-12
 
+# Entries, at least, in one flat compare of contains_many: broadcasting b
+# over rows of a few entries costs about 3x as much.
+_FLAT_COMPARE = 512
+
 # Relative slack for the outer-radius spot check. Points are produced by
 # arithmetic that can land a whisker outside the closed ball.
 _OUTER_TOL = 1e-9
@@ -47,7 +51,7 @@ class Polytope:
         raises ContractViolation when the promise fails.
     """
 
-    __slots__ = ("A", "b", "center", "r", "R", "row_norms")
+    __slots__ = ("A", "b", "center", "r", "R", "row_norms", "AT", "b_rows")
 
     def __init__(self, A, b, center, r, R):
         A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -90,6 +94,11 @@ class Polytope:
         self.r = r
         self.R = R
         self.row_norms = row_norms
+        # for contains_many: a C-contiguous A^T, on which a many-row product
+        # runs about 4x faster than through the transposed view, and b over
+        # enough rows that comparing against it is one long flat loop
+        self.AT = np.ascontiguousarray(A.T)
+        self.b_rows = np.tile(b, -(-_FLAT_COMPARE // m))
 
     @property
     def d(self) -> int:
@@ -126,9 +135,24 @@ def all_rows(flags: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def contains_many(P: Polytope, X) -> np.ndarray:
-    """Vectorized membership for an (n, d) array of points."""
+    """Vectorized membership for an (n, d) array of points.
+
+    Many rows take the product through ``P.AT`` and compare its flat
+    entries against ``P.b_rows``, a whole tile of rows at a time, then the
+    remainder; the bits are those of ``X @ P.A.T <= P.b``. One row keeps
+    that product: through the copy numpy makes it with gemm, not gemv, and
+    the last bit can differ.
+    """
     X = _check_dim(P, np.atleast_2d(np.asarray(X, dtype=float)))
-    return all_rows(X @ P.A.T <= P.b)
+    if len(X) < 2:
+        return all_rows(X @ P.A.T <= P.b)
+    S = X @ P.AT
+    flags = np.empty(S.shape, dtype=bool)
+    s, out, b = S.reshape(-1), flags.reshape(-1), P.b_rows
+    whole = s.size - s.size % b.size
+    np.less_equal(s[:whole].reshape(-1, b.size), b, out=out[:whole].reshape(-1, b.size))
+    np.less_equal(s[whole:], b[: s.size - whole], out=out[whole:])
+    return all_rows(flags)
 
 
 def normalize(P: Polytope) -> tuple[Polytope, np.ndarray]:

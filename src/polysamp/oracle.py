@@ -178,6 +178,13 @@ class CellGrid:
     def n_cells(self) -> int:
         return int(np.prod(self.nbins))
 
+    def min_n(self) -> int:
+        """The smallest n at which the heaviest cell's expected count
+        n * mass reaches MIN_EXPECTED."""
+        top = float(self.masses.max())
+        n = math.ceil(MIN_EXPECTED / top)
+        return n if n * top >= MIN_EXPECTED else n + 1
+
     def included(self, n: int) -> np.ndarray:
         """Mask of the cells whose expected count n * mass reaches
         MIN_EXPECTED; ValueError when no cell does."""

@@ -6,7 +6,8 @@ point: they catch transcription slips in the float pipeline). The closed
 forms cover exp(-s theta) on an interval, which is where every d=1
 ground-truth comparison comes from. The one-chain Dikin walk and the
 former production kernels further down are the references the package's
-vectorized kernels are checked against. The last section holds small
+vectorized kernels are checked against; the former eta search is the
+reference for ``dikin.search_eta``. The last section holds small
 geometry, density and ERM functions that only tests call.
 """
 
@@ -425,6 +426,40 @@ def reference_run_chains_batch(
         rep = ops.where(accept, rep_y, rep)
 
     return X, accepts
+
+
+# ---------------------------------------------------------------------------
+# Reference eta search
+# ---------------------------------------------------------------------------
+
+
+def reference_search_eta(pilot) -> tuple[float, float]:
+    """The search ``dikin.search_eta`` replaced, kept verbatim but for
+    taking pilot(eta) -> acceptance: the climb from eta = 0.1, one pilot
+    per round. On monotone acceptance curves the production search must
+    return its eta."""
+    lo, hi = dikin.TUNE_BAND
+    eta = 0.1
+    small = None  # largest eta seen with acceptance above the band
+    big = None    # smallest eta seen with acceptance below the band
+    for _ in range(dikin.PILOT_ROUNDS):
+        acc = pilot(eta)
+        if lo <= acc <= hi:
+            return eta, acc
+        if acc > hi:
+            small = eta if small is None else max(small, eta)
+        else:
+            big = eta if big is None else min(big, eta)
+        if small is not None and big is not None:
+            eta = math.sqrt(small * big)
+        elif acc > hi:
+            eta *= 2.0
+        else:
+            eta /= 2.0
+    raise RuntimeError(
+        f"step-scale tuning did not reach acceptance in [{lo}, {hi}] "
+        f"within {dikin.PILOT_ROUNDS} pilot rounds (last eta={eta:g})"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from polysamp import cli
+from polysamp import cli, dikin, oracle
+from polysamp.density import parse_density, uniform
 from polysamp.errors import ContractViolation
 from polysamp.geometry import contains_many, load_polytope
 from polysamp.pipeline import CHUNK, SamplingPlan
@@ -994,10 +995,39 @@ def test_unresolvable_grid_refused_before_sampling(seg_file, capsys, monkeypatch
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
+    need = math.ceil(100 / oracle.cell_masses(load_polytope(seg_file), uniform(), 50).masses.max())
     assert err == (
-        "config error: no cell reaches the expected-count threshold 100.0; "
-        "increase the sample size or coarsen the grid\n"
+        "config error: no cell reaches the expected-count threshold 100.0 at --n 100; "
+        f"the heaviest cell needs --n {need} or more (or coarsen the grid)\n"
     )
+
+
+def test_diagnose_without_n_names_the_n_it_needs(square_file, capsys):
+    # --n defaults to 1, at which no cell can reach an expected count of 100
+    argv = ["diagnose", "--polytope", str(square_file), "--density", "linear:1,0"]
+    code, out, err = run_cli([*argv, "--eps", "0.5", "--oracle", "exact"], capsys)
+    P = load_polytope(square_file)
+    grid = oracle.cell_masses(P, parse_density("linear:1,0", 2), 20)
+    need = math.ceil(100 / grid.masses.max())
+    assert code == 2 and out == ""
+    assert f"at --n 1; the heaviest cell needs --n {need} or more" in err
+    assert grid.included(need).any()
+    with pytest.raises(ValueError):
+        grid.included(need - 1)
+
+
+def test_tuning_that_never_reaches_the_band_is_a_config_error(square_file, tmp_path, capsys, monkeypatch):
+    # pilots read 0.9 below eta = 1 and 0.1 from there on: no eta is in band
+    def pilot(P, f, cfg, X0, rng):
+        return X0, round((0.9 if cfg.eta < 1.0 else 0.1) * len(X0) * cfg.T)
+
+    monkeypatch.setattr(dikin, "run_chains_batch", pilot)
+    out = tmp_path / "sample.csv"
+    argv = ["sample", "--polytope", str(square_file), "--eps", "0.5", "--n", "10"]
+    code, stdout, err = run_cli([*argv, "--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert re.fullmatch(r"config error: step-scale tuning did not reach .*, acceptance 0\.[19]00\)\n", err)
+    assert sorted(tmp_path.iterdir()) == [square_file]
 
 
 def test_overflowing_density_prints_only_the_config_error(square_file):

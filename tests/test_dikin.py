@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import margin, margin_many
-from polysamp import dikin
+from polysamp import dikin, dp
 from polysamp.density import linear, norm1, uniform
-from polysamp.geometry import Polytope, contains_many
+from polysamp.errors import ConfigError
+from polysamp.geometry import Polytope, box, contains_many
 from polysamp.pipeline import POOL_STREAM, rng_stream, run_sampling
 
 
@@ -379,6 +380,133 @@ def test_tune_eta_reaches_band(sq):
     assert eta > 0
     eta2, acc2 = dikin.tune_eta(sq, uniform(), np.random.default_rng(23))
     assert eta == eta2 and acc == acc2
+
+
+def _searched(search, curve):
+    """(result or None if the search gave up, pilots run) of a search over
+    the acceptance curve."""
+    etas = []
+
+    def pilot(eta):
+        etas.append(eta)
+        return curve(eta)
+
+    try:
+        return search(pilot), len(etas)
+    except (RuntimeError, ValueError):
+        return None, len(etas)
+
+
+def _logistic(mid, slope):
+    return lambda eta: 1.0 / (1.0 + math.exp(slope * math.log(eta / mid)))
+
+
+def _steps(edges, levels):
+    # levels[i] on [edges[i - 1], edges[i]); falls as eta grows
+    return lambda eta: levels[int(np.searchsorted(edges, eta, side="right"))]
+
+
+_curves = st.one_of(
+    st.builds(
+        _logistic,
+        st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        st.floats(0.2, 30.0),
+    ),
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3, unique=True).flatmap(
+        lambda es: st.builds(
+            _steps,
+            st.just(sorted(10.0**e for e in es)),
+            st.lists(st.floats(0.0, 1.0), min_size=len(es) + 1, max_size=len(es) + 1).map(
+                lambda ls: sorted(ls, reverse=True)
+            ),
+        )
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_curves)
+def test_search_eta_returns_the_climbs_eta_on_monotone_curves(curve):
+    """The search from 0.8 with its descent returns what the climb from 0.1
+    returns, in 2 pilots where that is 0.8 or 1.6. It runs at most 3
+    pilots more than the climb (descending to 0.1 where the climb starts
+    there), so where the climb needs more than PILOT_ROUNDS - 3 either may
+    give up alone."""
+    want, ref_pilots = _searched(helpers.reference_search_eta, curve)
+    got, pilots = _searched(dikin.search_eta, curve)
+    assert pilots <= ref_pilots + 3
+    if want is not None and (got is not None or ref_pilots <= dikin.PILOT_ROUNDS - 3):
+        assert got == want
+    if want is not None and want[0] in (0.8, 1.6):
+        assert pilots == 2
+
+
+def test_search_eta_gives_up_with_a_config_error():
+    # acceptance jumps over the band at eta = 1: no eta reads in band
+    pilots = []
+
+    def pilot(eta):
+        pilots.append(eta)
+        return 0.9 if eta < 1.0 else 0.1
+
+    with pytest.raises(ConfigError, match=r"within 24 pilot rounds \(last eta=.*, acceptance 0\.[19]00\)"):
+        dikin.search_eta(pilot)
+    assert len(pilots) == dikin.PILOT_ROUNDS
+
+
+def _tuned(monkeypatch, run):
+    """(eta, acceptance, pilots) of the tuning that run() starts; the walk
+    that would follow it is not run."""
+
+    class Tuned(Exception):
+        pass
+
+    tune, walk = dikin.tune_eta, dikin.run_chains_batch
+    pilots = []
+
+    def counted_walk(*args):
+        pilots.append(args[2])
+        return walk(*args)
+
+    with monkeypatch.context() as patch:
+
+        def tune_only(P, f, rng):
+            patch.setattr(dikin, "run_chains_batch", counted_walk)
+            raise Tuned(*tune(P, f, rng))
+
+        patch.setattr(dikin, "tune_eta", tune_only)
+        with pytest.raises(Tuned) as info:
+            run()
+    eta, acc = info.value.args
+    assert all(cfg.T == dikin.PILOT_STEPS for cfg in pilots)
+    return eta, acc, len(pilots)
+
+
+def _erm_bench_instance():
+    """The erm-d2 benchmark's instance at seed 1: the square, five
+    unit-norm linear losses drawn from the seed, eps_dp 0.5."""
+    C = np.random.default_rng(1).standard_normal((5, 2))
+    C /= np.linalg.norm(C, axis=1, keepdims=True)
+    return dp.ErmInstance(helpers.square(), C, L=1.0, eps_dp=0.5)
+
+
+@pytest.mark.parametrize(
+    "seed, acc", [(1, 0.652191162109375), (2, 0.64556884765625), (5, 0.646942138671875)]
+)
+def test_tuned_eta_pinned_on_the_benchmark_erm_instance(seed, acc, monkeypatch):
+    inst = _erm_bench_instance()
+    got = _tuned(monkeypatch, lambda: dp.private_erm_batch(inst, seed, 1000, c_mix=0.25))
+    assert got == (0.8, acc, 2)
+
+
+def test_tuned_eta_pinned_on_the_readme_examples(monkeypatch):
+    # erm on the README's instance file at seed 11, and the Python API run
+    inst = dp.ErmInstance(box([-1.0], [1.0], r=1.0, R=1.0), np.ones((5, 1)), L=1.0, eps_dp=0.5)
+    got = _tuned(monkeypatch, lambda: dp.private_erm_batch(inst, 11, 3))
+    assert got == (1.6, 0.533660888671875, 2)
+    P, f = box([-1.0, -1.0], [1.0, 1.0]), linear(np.array([1.0, 0.0]))
+    got = _tuned(monkeypatch, lambda: run_sampling(P, f, eps=0.5, n=10_000, seed=7))
+    assert got == (0.8, 0.63189697265625, 2)
 
 
 def test_walk_config_validation():

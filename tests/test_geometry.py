@@ -103,6 +103,24 @@ def test_contains_many_matches_reference(m, rng):
 
 
 @pytest.mark.parametrize("d", range(1, 11))
+def test_contains_many_through_the_contiguous_transpose(d, rng):
+    # many rows go through P.AT and a flat compare against P.b_rows: same
+    # products, bit for bit, and the same flags, for batches that end on a
+    # whole tile of rows or inside one
+    P = helpers.random_polytope(rng, d, m_extra=4)
+    assert P.AT.flags.c_contiguous and np.array_equal(P.AT, P.A.T)
+    rows = P.b_rows.size // P.m
+    for n in (2, 3, rows - 1, rows, rows + 1, 3 * rows, 5000):
+        # at distance 0 to 3r from the center: inside and outside
+        X = rng.standard_normal((n, d))
+        X *= (P.r * rng.uniform(0.0, 3.0, n) / np.linalg.norm(X, axis=1))[:, None]
+        assert np.array_equal(X @ P.AT, X @ P.A.T)
+        got = contains_many(P, X)
+        assert np.array_equal(got, helpers.reference_contains_many(P, X))
+        assert 0 < got.sum() < n or n < 100
+
+
+@pytest.mark.parametrize("d", range(1, 11))
 def test_row_norms_and_ball_draws_match_numpy_norm(d, rng):
     # d >= 8 keeps numpy's pairwise sum; below, the column loop must agree
     X = rng.standard_normal((999, d)) * 10.0 ** rng.integers(-3, 4, size=(999, d))
