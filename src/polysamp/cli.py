@@ -44,10 +44,8 @@ from . import __version__, converter, dikin, dp, oracle
 from .density import parse_density
 from .errors import ConfigError, ContractViolation
 from .geometry import load_polytope
-from .pipeline import check_cmix, plan_sampling, run_sampling
+from .pipeline import plan_sampling, run_sampling
 
-DESK_CMIX = 1e-4
-ANALYSIS_CMIX = 1.0
 ROW_BLOCK = 4096  # CSV rows per write: bounds the formatting buffer
 
 
@@ -86,7 +84,7 @@ def _write_header(out, args, params: converter.ConverterParams, T) -> None:
 
 
 def _resolve_cmix(args, default: float) -> float:
-    return check_cmix(args.cmix if args.cmix is not None else default)
+    return dikin.check_cmix(args.cmix if args.cmix is not None else default)
 
 
 @contextlib.contextmanager
@@ -390,7 +388,7 @@ def _load_inputs(args):
 
 def cmd_params(args) -> int:
     P, f = _load_inputs(args)
-    c_mix = _resolve_cmix(args, DESK_CMIX)
+    c_mix = _resolve_cmix(args, dikin.DESK_CMIX)
     params = converter.compute_params(args.eps, f.L, P.r, P.R, P.d)
     T = dikin.mixing_steps(P, f, params.delta_log, c_mix)
     lines = [
@@ -423,7 +421,7 @@ def cmd_sample(args) -> int:
             eps=args.eps,
             n=args.n,
             seed=args.seed,
-            c_mix=_resolve_cmix(args, DESK_CMIX),
+            c_mix=_resolve_cmix(args, dikin.DESK_CMIX),
             eta=args.eta,
             oracle=args.oracle,
         )
@@ -448,7 +446,7 @@ def cmd_diagnose(args) -> int:
         # for --n draws to resolve any cell, is refused before sampling
         bins = args.bins if args.bins is not None else {1: 50, 2: 20, 3: 6}[P.d]
         grid = oracle.cell_masses(P, f, bins)
-        c_mix = _resolve_cmix(args, DESK_CMIX)
+        c_mix = _resolve_cmix(args, dikin.DESK_CMIX)
         need = grid.min_n()
         if args.n < need:
             raise ConfigError(
@@ -470,7 +468,7 @@ def cmd_diagnose(args) -> int:
         counts = oracle.histogram_counts(result.points, grid)
         report = oracle.sup_log_ratio(result.points, grid)
         tv = oracle.tv_estimate(result.points, grid)
-        stats = converter.tau_statistics(result.tau, eps=args.eps)
+        tau = result.tau
 
         # acceptance of the walk that made the draws (nan when no walk ran)
         acceptance = plan.accepts / plan.chain_steps if plan.chain_steps else float("nan")
@@ -485,10 +483,10 @@ def cmd_diagnose(args) -> int:
         out.write(f"# sup_log_ratio={report.stat!r}\n")
         out.write(f"# sup_max_z={report.max_z()!r}\n")
         out.write(f"# excluded_cells={len(report.excluded)}\n")
-        out.write(f"# tau_mean={stats.mean!r}\n")
+        out.write(f"# tau_mean={float(tau.mean())!r}\n")
         out.write(f"# fallback_rate={float(np.mean(result.fallback))!r}\n")
-        for t in range(1, len(stats.tail_geq)):
-            out.write(f"# tau_tail_geq_{t}={float(stats.tail_geq[t])!r}\n")
+        for t in range(1, 11):
+            out.write(f"# tau_tail_geq_{t}={float(np.mean(tau >= t))!r}\n")
         mids = ",".join(f"mid{j + 1}" for j in range(P.d))
         out.write(f"cell,{mids},mass,count,freq,log_ratio,sigma,included\n")
         incl = np.zeros(grid.n_cells, dtype=bool)
@@ -517,7 +515,7 @@ def cmd_erm(args) -> int:
     csum = inst.losses.sum(axis=0)
     best = float(np.min(dp.enumerate_vertices(inst.polytope) @ csum))
     with _open_out(args.out) as out:
-        c_mix = _resolve_cmix(args, ANALYSIS_CMIX)
+        c_mix = _resolve_cmix(args, dikin.ANALYSIS_CMIX)
         result = dp.private_erm_batch(inst, args.seed, args.n, c_mix=c_mix, eta=args.eta)
         gaps = result.points @ csum - best
 

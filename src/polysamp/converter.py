@@ -36,8 +36,6 @@ __all__ = [
     "SampleBatch",
     "compute_params",
     "convert_batch",
-    "tau_statistics",
-    "TauSummary",
 ]
 
 
@@ -155,104 +153,3 @@ def convert_batch(
     check_outer_radius(P, points)
     return SampleBatch(points=points, tau=tau, fallback=fallback, oracle_calls=oracle_calls)
 
-
-# ---------------------------------------------------------------------------
-# Iteration-count telemetry
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TauSummary:
-    """Empirical law of the halting iteration tau over many runs.
-
-    tail_geq[t] estimates P(tau >= t) for t = 1..10 (index 0 unused).
-    survival[t] estimates P(tau > t), the probability that a run is still
-    unresolved after t full iterations; the geometric sandwich
-    (1/2)^t <= P(tau > t) <= (2/3)^t is a statement about this survival
-    function (the half-coin alone forces the lower bound).
-    sandwich_rows holds (t, lower_band, value, upper_band) with 3 sigma
-    binomial slack folded into the bands; pmf_rows likewise for the
-    runtime-privacy band (1/2)^t e^{-eps/2} <= P(tau = t) <= (1/2)^t e^{eps/2}
-    when eps was supplied.
-    """
-
-    n: int
-    mean: float
-    tail_geq: np.ndarray
-    survival: np.ndarray
-    sandwich_ok: bool
-    sandwich_rows: list[tuple[int, float, float, float]]
-    pmf_ok: bool | None
-    pmf_rows: list[tuple[int, float, float, float]]
-
-
-BAND_T_MAX = 8  # largest t that tau_statistics' band checks cover
-
-
-def _tau_array(runs) -> np.ndarray:
-    taus = np.asarray(runs.tau if isinstance(runs, SampleBatch) else runs, dtype=np.int64)
-    if not taus.size:
-        raise ValueError("tau_statistics needs at least one run")
-    return taus
-
-
-def tau_statistics(runs, eps: float | None = None) -> TauSummary:
-    """Summarize halting iterations and test them against the known bands.
-
-    Parameters
-    ----------
-    runs : SampleBatch, or its tau array (any sequence of ints).
-    eps : when given, also tests the runtime-privacy band on P(tau = t).
-
-    The bands are checked for t = 1..BAND_T_MAX. The 3 sigma slack on every
-    band uses the binomial deviation at the band endpoint, so the bands are
-    deterministic given n.
-    """
-    taus = _tau_array(runs)
-    n = taus.size
-    mean = float(taus.mean())
-
-    tail_geq = np.zeros(11)
-    for t in range(1, 11):
-        tail_geq[t] = float(np.mean(taus >= t))
-    survival = np.zeros(11)
-    for t in range(0, 10):
-        survival[t] = float(np.mean(taus > t))
-
-    def slack(p: float) -> float:
-        p = min(max(p, 0.0), 1.0)
-        return 3.0 * math.sqrt(p * (1.0 - p) / n)
-
-    sandwich_rows = []
-    sandwich_ok = True
-    for t in range(1, BAND_T_MAX + 1):
-        lo_band = 0.5**t - slack(0.5**t)
-        hi_band = (2.0 / 3.0) ** t + slack((2.0 / 3.0) ** t)
-        value = survival[t]
-        sandwich_rows.append((t, lo_band, value, hi_band))
-        if not (lo_band <= value <= hi_band):
-            sandwich_ok = False
-
-    pmf_rows: list[tuple[int, float, float, float]] = []
-    pmf_ok: bool | None = None
-    if eps is not None:
-        pmf_ok = True
-        for t in range(1, BAND_T_MAX + 1):
-            center = 0.5**t
-            lo_band = center * math.exp(-eps / 2.0) - slack(center * math.exp(-eps / 2.0))
-            hi_band = center * math.exp(eps / 2.0) + slack(min(center * math.exp(eps / 2.0), 1.0))
-            value = float(np.mean(taus == t))
-            pmf_rows.append((t, lo_band, value, hi_band))
-            if not (lo_band <= value <= hi_band):
-                pmf_ok = False
-
-    return TauSummary(
-        n=n,
-        mean=mean,
-        tail_geq=tail_geq,
-        survival=survival,
-        sandwich_ok=sandwich_ok,
-        sandwich_rows=sandwich_rows,
-        pmf_ok=pmf_ok,
-        pmf_rows=pmf_rows,
-    )

@@ -78,6 +78,21 @@ def warm_start_many(P: Polytope, rng: np.random.Generator, n: int) -> np.ndarray
     return P.center + P.r * sample_unit_ball_many(rng, n, P.d)
 
 
+# The c_mix defaults. The desk-scale sampling commands use DESK_CMIX, since
+# the worst-case mixing bound is astronomically conservative at their sizes;
+# erm uses the analysis constant, since its privacy claim leans on the
+# mixing guarantee.
+DESK_CMIX = 1e-4
+ANALYSIS_CMIX = 1.0
+
+
+def check_cmix(c_mix: float) -> float:
+    """c_mix, refused unless finite and positive."""
+    if not (0 < c_mix < math.inf):
+        raise ConfigError(f"c_mix must be finite and positive, got {c_mix!r}")
+    return c_mix
+
+
 def mixing_steps(P: Polytope, f: LogDensity, delta_log: float, c_mix: float) -> int:
     """Step budget per independent sample.
 
@@ -86,8 +101,7 @@ def mixing_steps(P: Polytope, f: LogDensity, delta_log: float, c_mix: float) -> 
     the TV target and is consumed in log domain only (the target itself
     underflows long before d gets interesting).
     """
-    if not (0 < c_mix < math.inf):
-        raise ValueError(f"c_mix must be finite and positive, got {c_mix!r}")
+    check_cmix(c_mix)
     if not np.isfinite(delta_log):
         raise ValueError("delta_log must be finite")
     d, m = P.d, P.m

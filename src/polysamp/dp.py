@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import pipeline
+from . import dikin, pipeline
 from .density import LogDensity, exp_mechanism_density
 from .errors import ConfigError
 from .geometry import Polytope, parse_polytope_lines
@@ -101,7 +101,7 @@ def load_erm_instance(path) -> ErmInstance:
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     lines = text.splitlines()
-    P, pos = parse_polytope_lines(lines, 0)
+    P, pos = parse_polytope_lines(lines)
 
     def next_line(pos):
         while pos < len(lines):
@@ -167,7 +167,7 @@ def private_erm_batch(
     inst: ErmInstance,
     seed: int,
     n_runs: int,
-    c_mix: float = 1.0,
+    c_mix: float = dikin.ANALYSIS_CMIX,
     eta: float | None = None,
 ) -> pipeline.SamplingResult:
     """n_runs independent private ERM draws; run j is a pure function of

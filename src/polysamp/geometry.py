@@ -38,7 +38,7 @@ class Polytope:
     A : (m, d) array
         Constraint normals, one facet per row. Rows must be nonzero.
     b : (m,) array
-        Constraint offsets.
+        Constraint right-hand sides.
     center : (d,) array
         Center of the inscribed ball.
     r : float
@@ -61,7 +61,7 @@ class Polytope:
             raise ConfigError("constraint matrix must be 2-D")
         m, d = A.shape
         if b.shape != (m,):
-            raise ConfigError(f"offset vector has length {b.size}, expected {m}")
+            raise ConfigError(f"right-hand side b has length {b.size}, expected {m}")
         if center.shape != (d,):
             raise ConfigError(f"center has length {center.size}, expected {d}")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b)) and np.all(np.isfinite(center))):
@@ -216,7 +216,7 @@ def check_outer_radius(P: Polytope, X) -> None:
         )
 
 
-def parse_polytope_lines(lines: list[str], offset: int = 0) -> tuple[Polytope, int]:
+def parse_polytope_lines(lines: list[str]) -> tuple[Polytope, int]:
     """Parse a polytope block from pre-split text lines.
 
     Block layout: header ``d m r R``, then m constraint rows ``a_1 ... a_d b``,
@@ -226,9 +226,7 @@ def parse_polytope_lines(lines: list[str], offset: int = 0) -> tuple[Polytope, i
     Parameters
     ----------
     lines : list of str
-        All lines of the file.
-    offset : int
-        Index into ``lines`` where this block starts.
+        All lines of the file; the block starts at its first data line.
 
     Returns
     -------
@@ -259,7 +257,7 @@ def parse_polytope_lines(lines: list[str], offset: int = 0) -> tuple[Polytope, i
             raise fail(i, f"{what}: NaN/Inf not allowed")
         return vals
 
-    i = next_data_line(offset)
+    i = next_data_line(0)
     header = lines[i].split()
     if len(header) != 4:
         raise fail(i, "header must be 'd m r R'")
@@ -297,7 +295,7 @@ def load_polytope(path) -> Polytope:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    poly, end = parse_polytope_lines(lines, 0)
+    poly, end = parse_polytope_lines(lines)
     for j in range(end, len(lines)):
         if lines[j].strip() and not lines[j].strip().startswith("#"):
             raise ConfigError(f"line {j + 1}: trailing content after polytope block")

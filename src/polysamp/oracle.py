@@ -7,7 +7,8 @@ routines are independent of the samplers they judge.
   rejection from a bounding box, so it doubles as a zero-TV-error oracle
   for the converter.
 * ``cell_masses`` integrates pi over a rectangular cell grid (tensor
-  midpoint rule with dense subnodes, membership-masked) for d <= 3.
+  midpoint rule with SUBNODES nodes per cell and axis, membership-masked)
+  for d <= 3.
 * ``sup_log_ratio`` and ``tv_estimate`` compare an empirical sample against
   cell masses. The binned sup-log-ratio UNDER-estimates the true sup of
   |log(nu/pi)| (binning averages the ratio), so acceptance tests only ever
@@ -41,9 +42,15 @@ PILOT_DRAWS = 4096  # box proposals that estimate the acceptance rate
 DRAW_CHUNK = 500_000  # most box proposals in one round of ExactSampler.draw
 MIN_EXPECTED = 100.0  # expected count n * mass that puts a cell in sup_log_ratio
 WEIGHT_SLACK = 1e-9  # rounding allowed above 1 in an acceptance weight
-# most subnodes a cell grid may integrate over: (bins * subnodes)^d above
+# midpoint nodes per axis per cell: the d=1 closed-form masses match to the
+# 1e-6 level the tests use
+SUBNODES = 32
+# most nodes a cell grid may integrate over: (bins * SUBNODES)^d above
 # this is refused (d = 3 at 6 bins, diagnose's default, takes 7.1M)
 QUADRATURE_POINTS = 2**26
+# quadrature points integrated per block of whole first-axis cells (a
+# block holds at least one cell)
+BLOCK_POINTS = 2**16
 
 
 def box_bounds(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
@@ -217,89 +224,63 @@ class CellGrid:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _resolve_grid_spec(P: Polytope, grid_spec):
-    if isinstance(grid_spec, CellGrid):
-        return grid_spec.lo.copy(), grid_spec.hi.copy(), grid_spec.nbins.copy()
-    if np.isscalar(grid_spec):
-        lo, hi = box_bounds(P)
-        nbins = np.full(P.d, int(grid_spec), dtype=np.int64)
-    else:
-        lo, hi, nbins = grid_spec
-        lo = np.asarray(lo, dtype=float).ravel()
-        hi = np.asarray(hi, dtype=float).ravel()
-        nbins = np.asarray(nbins, dtype=np.int64).ravel()
-    if np.any(nbins < 1):
-        raise ConfigError("grid needs at least one cell per axis")
-    if np.any(hi <= lo):
-        raise ConfigError("grid bounds must satisfy lo < hi")
-    return lo, hi, nbins
-
-
-def cell_masses(P: Polytope, f: LogDensity, grid_spec, subnodes: int = 32) -> CellGrid:
-    """Integrate pi over every grid cell (tensor midpoint rule).
-
-    Parameters
-    ----------
-    grid_spec : int, or (lo, hi, nbins) arrays, or a CellGrid to reuse.
-        An int means that many cells per axis over the polytope's bounding
-        box.
-    subnodes : midpoint subnodes per axis per cell (>= 32 keeps the d=1
-        closed-form comparisons at the 1e-6 level used in tests).
+def cell_masses(P: Polytope, f: LogDensity, bins: int) -> CellGrid:
+    """Integrate pi over every cell of a grid of ``bins`` cells per axis over
+    the polytope's bounding box (tensor midpoint rule, SUBNODES nodes per
+    axis per cell).
 
     Masses are exp(-f) integrated with the membership indicator, then
-    normalized to sum 1. All-zero masses (grid misses K), or a grid of more
-    than QUADRATURE_POINTS subnodes, raise ConfigError.
+    normalized to sum 1. bins < 1, all-zero masses (no node in K), or a
+    grid of more than QUADRATURE_POINTS nodes raise ConfigError.
     """
     if P.d > 3:
         raise ConfigError("cell quadrature is for d <= 3")
-    if subnodes < 32:
-        raise ConfigError("need at least 32 subnodes per axis per cell")
-    lo, hi, nbins = _resolve_grid_spec(P, grid_spec)
+    if bins < 1:
+        raise ConfigError("grid needs at least one cell per axis")
     d = P.d
-    points = math.prod(int(k) * subnodes for k in nbins)
-    if points > QUADRATURE_POINTS:
+    s = SUBNODES
+    total = bins * s  # nodes per axis
+    if total**d > QUADRATURE_POINTS:
         raise ConfigError(
-            f"cell grid needs {points} quadrature points, more than {QUADRATURE_POINTS}: "
+            f"cell grid needs {total**d} quadrature points, more than {QUADRATURE_POINTS}: "
             "use fewer bins"
         )
+    lo, hi = box_bounds(P)
 
-    # All subnode coordinates along each axis, cell-major.
-    axis_pts = []
-    for j in range(d):
-        total = int(nbins[j]) * subnodes
-        axis_pts.append(lo[j] + (np.arange(total) + 0.5) * (hi[j] - lo[j]) / total)
+    def nodes(j: int, start: int, stop: int) -> np.ndarray:
+        """Axis j's nodes start..stop-1 of total, cell-major."""
+        return lo[j] + (np.arange(start, stop) + 0.5) * (hi[j] - lo[j]) / total
 
-    masses = np.zeros(tuple(int(k) for k in nbins))
+    rest = [nodes(j, 0, total) for j in range(1, d)]
+    step = max(1, BLOCK_POINTS // (s * total ** (d - 1)))  # first-axis cells per block
+    masses = np.empty((bins,) * d)
     shift = f(P.center)  # one shift for every block, so normalization is exact
-    # Block over first-axis cells to bound memory at subnodes * prod(rest).
-    for i0 in range(int(nbins[0])):
-        block_axes = [axis_pts[0][i0 * subnodes : (i0 + 1) * subnodes]] + axis_pts[1:]
-        mesh = np.meshgrid(*block_axes, indexing="ij")
+    for i0 in range(0, bins, step):
+        i1 = min(i0 + step, bins)
+        mesh = np.meshgrid(nodes(0, i0 * s, i1 * s), *rest, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         weights = np.zeros(pts.shape[0])
         member = contains_many(P, pts)
         if np.any(member):
             vals = f.eval_many(pts[member])
             weights[member] = np.exp(-(vals - shift))
-        # Fold subnode axes back onto their cells.
-        shape = [subnodes] + [v for j in range(1, d) for v in (int(nbins[j]), subnodes)]
-        folded = weights.reshape(shape)
-        masses[i0] = folded.sum(axis=tuple(i for i in range(len(shape)) if i % 2 == 0))
+        # Fold node axes back onto their cells.
+        folded = weights.reshape((i1 - i0, s) + (bins, s) * (d - 1))
+        masses[i0:i1] = folded.sum(axis=tuple(range(1, 2 * d, 2)))
 
     flat = masses.ravel()
-    total = flat.sum()
-    if total <= 0:
+    total_mass = flat.sum()
+    if total_mass <= 0:
         raise ConfigError("grid does not intersect the polytope (all cell masses zero)")
-    flat = flat / total
-    grid = CellGrid(lo=lo, hi=hi, nbins=nbins, masses=flat)
+    nbins = np.full(d, bins, dtype=np.int64)
+    grid = CellGrid(lo=lo, hi=hi, nbins=nbins, masses=flat / total_mass)
     assert abs(grid.masses.sum() - 1.0) < 1e-9
     return grid
 
 
-def histogram_counts(samples, grid: CellGrid) -> np.ndarray:
-    """Per-cell sample counts (samples may be a SampleBatch or an array)."""
-    pts = getattr(samples, "points", samples)
-    idx = grid.cell_index(pts)
+def histogram_counts(samples: np.ndarray, grid: CellGrid) -> np.ndarray:
+    """Per-cell sample counts of an (n, d) array of points."""
+    idx = grid.cell_index(samples)
     return np.bincount(idx, minlength=grid.n_cells).astype(np.int64)
 
 
@@ -333,7 +314,7 @@ class SupLogRatio:
         return float(np.max(np.abs(self.log_ratio) / self.sigma))
 
 
-def sup_log_ratio(samples, grid: CellGrid) -> SupLogRatio:
+def sup_log_ratio(samples: np.ndarray, grid: CellGrid) -> SupLogRatio:
     """Compare empirical cell frequencies against exact cell masses.
 
     A cell enters the statistic iff its expected count n * mass reaches
@@ -343,8 +324,7 @@ def sup_log_ratio(samples, grid: CellGrid) -> SupLogRatio:
     the division-by-zero sentinel.
     """
     counts = histogram_counts(samples, grid)
-    pts = getattr(samples, "points", samples)
-    n = np.atleast_2d(pts).shape[0]
+    n = samples.shape[0]
 
     included = grid.included(n)
     excluded = [
@@ -372,12 +352,10 @@ def sup_log_ratio(samples, grid: CellGrid) -> SupLogRatio:
     )
 
 
-def tv_estimate(samples, grid: CellGrid) -> float:
+def tv_estimate(samples: np.ndarray, grid: CellGrid) -> float:
     """Binned total-variation estimate: half the L1 gap between empirical
     frequencies and cell masses. A lower bound on the true TV distance
     (binning can only hide discrepancy), always in [0, 1]."""
     counts = histogram_counts(samples, grid)
-    pts = getattr(samples, "points", samples)
-    n = np.atleast_2d(pts).shape[0]
-    freq = counts / n
+    freq = counts / samples.shape[0]
     return float(0.5 * np.sum(np.abs(freq - grid.masses)))

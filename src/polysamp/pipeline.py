@@ -23,7 +23,6 @@ run's settings (params, T, eta) and walk counters live on the plan alone.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import signal
 import threading
@@ -44,7 +43,6 @@ __all__ = [
     "rng_stream",
     "SamplingPlan",
     "SamplingResult",
-    "check_cmix",
     "plan_sampling",
     "run_sampling",
 ]
@@ -89,7 +87,6 @@ class SamplingPlan:
     params: converter.ConverterParams
     seed: int
     n: int
-    chunk: int
     chunk_oracle: Callable[[int], Callable] = field(repr=False)
     T: int | None = None
     eta: float | None = None
@@ -100,14 +97,14 @@ class SamplingPlan:
         """Chunk j as (payload, chain_steps, accepts): the payload is its
         rows, points in the caller's original coordinates, or
         render(start, rows) with start the index of its first row."""
-        start = j * self.chunk
+        start = j * CHUNK
         oracle_batch = self.chunk_oracle(j)
         batch = converter.convert_batch(
             self.polytope,
             oracle_batch,
             self.params,
             rng_stream(self.seed, j),
-            min(self.chunk, self.n - start),
+            min(CHUNK, self.n - start),
         )
         batch.points += self.translation
         payload = batch if render is None else render(start, batch)
@@ -141,7 +138,7 @@ class SamplingPlan:
 
     @property
     def n_chunks(self) -> int:
-        return (self.n + self.chunk - 1) // self.chunk
+        return (self.n + CHUNK - 1) // CHUNK
 
     def chunks(self, render: Callable | None = None) -> Iterator:
         """Run the chunks and yield, in chunk order, each one's rows (a
@@ -223,23 +220,15 @@ class SamplingResult(converter.SampleBatch):
     plan: SamplingPlan
 
 
-def check_cmix(c_mix: float) -> float:
-    """c_mix, refused unless finite and positive."""
-    if not (0 < c_mix < math.inf):
-        raise ConfigError(f"c_mix must be finite and positive, got {c_mix!r}")
-    return c_mix
-
-
 def plan_sampling(
     P: Polytope,
     f: LogDensity,
     eps: float,
     n: int,
     seed: int,
-    c_mix: float = 1e-4,
+    c_mix: float = dikin.DESK_CMIX,
     eta: float | None = None,
     oracle: str = "dikin",
-    chunk: int = CHUNK,
 ) -> SamplingPlan:
     """Set up a run of n samples with infinity-distance target eps.
 
@@ -251,9 +240,7 @@ def plan_sampling(
         raise ConfigError("sample count must be at least 1")
     if not (0 <= seed < MAX_SEED):
         raise ConfigError(f"seed must be in [0, {MAX_SEED})")
-    if chunk < 1:
-        raise ConfigError("chunk size must be positive")
-    check_cmix(c_mix)
+    dikin.check_cmix(c_mix)
 
     Pn, translation = normalize(P)
     fn = shifted(f, translation)
@@ -287,7 +274,6 @@ def plan_sampling(
         params=params,
         seed=seed,
         n=n,
-        chunk=chunk,
         chunk_oracle=chunk_oracle,
         T=T,
         eta=eta_used,
@@ -300,10 +286,9 @@ def run_sampling(
     eps: float,
     n: int,
     seed: int,
-    c_mix: float = 1e-4,
+    c_mix: float = dikin.DESK_CMIX,
     eta: float | None = None,
     oracle: str = "dikin",
-    chunk: int = CHUNK,
 ) -> SamplingResult:
     """Draw n samples with infinity-distance target eps, all in memory."""
-    return plan_sampling(P, f, eps, n, seed, c_mix, eta, oracle, chunk).collect()
+    return plan_sampling(P, f, eps, n, seed, c_mix, eta, oracle).collect()

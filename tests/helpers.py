@@ -7,8 +7,9 @@ forms cover exp(-s theta) on an interval, which is where every d=1
 ground-truth comparison comes from. The one-chain Dikin walk and the
 former production kernels further down are the references the package's
 vectorized kernels are checked against; the former eta search is the
-reference for ``dikin.search_eta``. The last section holds small
-geometry, density and ERM functions that only tests call.
+reference for ``dikin.search_eta``. ``tau_statistics`` checks the halting
+iterations against the paper's bands on their law. The last section holds
+small geometry, density and ERM functions that only tests call.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from polysamp import converter, dikin, oracle
 from polysamp.density import LogDensity
 from polysamp.dp import ErmInstance, enumerate_vertices
-from polysamp.geometry import Polytope, _check_dim
+from polysamp.geometry import Polytope, _check_dim, contains_many
 
 getcontext().prec = 50
 
@@ -111,6 +112,108 @@ def mech_mean_symmetric(k: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Iteration-count bands
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class TauSummary:
+    """Empirical law of the halting iteration tau over many runs.
+
+    tail_geq[t] estimates P(tau >= t) for t = 1..10 (index 0 unused).
+    survival[t] estimates P(tau > t), the probability that a run is still
+    unresolved after t full iterations; the geometric sandwich
+    (1/2)^t <= P(tau > t) <= (2/3)^t is a statement about this survival
+    function (the half-coin alone forces the lower bound).
+    sandwich_rows holds (t, lower_band, value, upper_band) with 3 sigma
+    binomial slack folded into the bands; pmf_rows likewise for the
+    runtime-privacy band (1/2)^t e^{-eps/2} <= P(tau = t) <= (1/2)^t e^{eps/2}
+    when eps was supplied.
+    """
+
+    n: int
+    mean: float
+    tail_geq: np.ndarray
+    survival: np.ndarray
+    sandwich_ok: bool
+    sandwich_rows: list[tuple[int, float, float, float]]
+    pmf_ok: bool | None
+    pmf_rows: list[tuple[int, float, float, float]]
+
+
+BAND_T_MAX = 8  # largest t that tau_statistics' band checks cover
+
+
+def _tau_array(taus) -> np.ndarray:
+    taus = np.asarray(taus, dtype=np.int64)
+    if not taus.size:
+        raise ValueError("tau_statistics needs at least one run")
+    return taus
+
+
+def tau_statistics(taus, eps: float | None = None) -> TauSummary:
+    """Summarize halting iterations and test them against the known bands.
+
+    Parameters
+    ----------
+    taus : the runs' tau array (any sequence of ints).
+    eps : when given, also tests the runtime-privacy band on P(tau = t).
+
+    The bands are checked for t = 1..BAND_T_MAX. The 3 sigma slack on every
+    band uses the binomial deviation at the band endpoint, so the bands are
+    deterministic given n.
+    """
+    taus = _tau_array(taus)
+    n = taus.size
+    mean = float(taus.mean())
+
+    tail_geq = np.zeros(11)
+    for t in range(1, 11):
+        tail_geq[t] = float(np.mean(taus >= t))
+    survival = np.zeros(11)
+    for t in range(0, 10):
+        survival[t] = float(np.mean(taus > t))
+
+    def slack(p: float) -> float:
+        p = min(max(p, 0.0), 1.0)
+        return 3.0 * math.sqrt(p * (1.0 - p) / n)
+
+    sandwich_rows = []
+    sandwich_ok = True
+    for t in range(1, BAND_T_MAX + 1):
+        lo_band = 0.5**t - slack(0.5**t)
+        hi_band = (2.0 / 3.0) ** t + slack((2.0 / 3.0) ** t)
+        value = survival[t]
+        sandwich_rows.append((t, lo_band, value, hi_band))
+        if not (lo_band <= value <= hi_band):
+            sandwich_ok = False
+
+    pmf_rows: list[tuple[int, float, float, float]] = []
+    pmf_ok: bool | None = None
+    if eps is not None:
+        pmf_ok = True
+        for t in range(1, BAND_T_MAX + 1):
+            center = 0.5**t
+            lo_band = center * math.exp(-eps / 2.0) - slack(center * math.exp(-eps / 2.0))
+            hi_band = center * math.exp(eps / 2.0) + slack(min(center * math.exp(eps / 2.0), 1.0))
+            value = float(np.mean(taus == t))
+            pmf_rows.append((t, lo_band, value, hi_band))
+            if not (lo_band <= value <= hi_band):
+                pmf_ok = False
+
+    return TauSummary(
+        n=n,
+        mean=mean,
+        tail_geq=tail_geq,
+        survival=survival,
+        sandwich_ok=sandwich_ok,
+        sandwich_rows=sandwich_rows,
+        pmf_ok=pmf_ok,
+        pmf_rows=pmf_rows,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Polytope builders
 # ---------------------------------------------------------------------------
 
@@ -163,7 +266,6 @@ def random_polytope(rng: np.random.Generator, d: int, m_extra: int | None = None
 
 def uniform_in_polytope(P: Polytope, rng: np.random.Generator, n: int) -> np.ndarray:
     """n uniform points in K by rejection from the bounding box (tests only)."""
-    from polysamp.geometry import contains_many
     from polysamp.oracle import box_bounds
 
     lo, hi = box_bounds(P)
@@ -467,7 +569,8 @@ def reference_search_eta(pilot) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 #
 # The one-liners that the column-wise kernels of ``geometry`` and the
-# in-place proposals of ``oracle.ExactSampler`` replaced, kept verbatim: the
+# in-place proposals of ``oracle.ExactSampler`` replaced, kept verbatim, and
+# the per-cell quadrature loop that ``oracle.cell_masses`` replaced: the
 # production kernels must give the same bits.
 
 
@@ -511,6 +614,37 @@ def reference_corner_radius(lo: np.ndarray, hi: np.ndarray, center: np.ndarray) 
     for corner in product(*zip(lo, hi)):
         worst = max(worst, float(np.linalg.norm(np.array(corner) - center)))
     return worst
+
+
+def reference_cell_masses(P: Polytope, f: LogDensity, bins: int, subnodes: int = 32) -> oracle.CellGrid:
+    """``oracle.cell_masses`` as the loop over first-axis cells it was, one
+    numpy block per cell, with the axis-0 subnodes made up front (subnodes
+    is ``oracle.SUBNODES`` there)."""
+    lo, hi = oracle.box_bounds(P)
+    d = P.d
+    nbins = np.full(d, bins, dtype=np.int64)
+    axis_pts = []
+    for j in range(d):
+        total = int(nbins[j]) * subnodes
+        axis_pts.append(lo[j] + (np.arange(total) + 0.5) * (hi[j] - lo[j]) / total)
+
+    masses = np.zeros(tuple(int(k) for k in nbins))
+    shift = f(P.center)
+    for i0 in range(int(nbins[0])):
+        block_axes = [axis_pts[0][i0 * subnodes : (i0 + 1) * subnodes]] + axis_pts[1:]
+        mesh = np.meshgrid(*block_axes, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        weights = np.zeros(pts.shape[0])
+        member = contains_many(P, pts)
+        if np.any(member):
+            vals = f.eval_many(pts[member])
+            weights[member] = np.exp(-(vals - shift))
+        shape = [subnodes] + [v for j in range(1, d) for v in (int(nbins[j]), subnodes)]
+        folded = weights.reshape(shape)
+        masses[i0] = folded.sum(axis=tuple(i for i in range(len(shape)) if i % 2 == 0))
+
+    flat = masses.ravel()
+    return oracle.CellGrid(lo=lo, hi=hi, nbins=nbins, masses=flat / flat.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ def test_criterion_04_end_to_end_infinity_distance(exact_run, dikin_run):
 
 
 def test_criterion_05_tau_law(dikin_run):
-    stats = converter.tau_statistics(dikin_run, eps=EPS)
+    stats = helpers.tau_statistics(dikin_run.tau, eps=EPS)
     ok = stats.mean <= 3.0 and stats.sandwich_ok and bool(stats.pmf_ok)
     report(
         5,

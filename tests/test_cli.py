@@ -931,6 +931,31 @@ def test_diagnose_readme_example(square_file, capsys):
         assert line in lines
 
 
+# sha256 of whole exact-oracle diagnose outputs, taken before the tau tails
+# were written from the tau column and the quadrature took blocks of cells:
+# the README example, and d = 1 and d = 3 at their default --bins
+DIAGNOSE_SHA256 = {
+    "readme": "ae6a03a276bec797baa66de65b07b83e10ceb5192bf3e179c2bea1298b0e4b07",
+    "d1": "9385d32fb4807cfc478099eda4ddfa7dc8d9a28f3b0c21d4954395c1f9184518",
+    "d3": "35dc4fe7d5c236d30a04c01458b705f3c3064e110d687dd2b260c232b6c5a334",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIAGNOSE_SHA256))
+def test_diagnose_pinned_bytes(case, square_file, seg_file, tmp_path, capsys):
+    cube = tmp_path / "cube.txt"
+    cube.write_text("3 6 1.0 2.0\n1 0 0 1\n-1 0 0 1\n0 1 0 1\n0 -1 0 1\n0 0 1 1\n0 0 -1 1\n0 0 0\n")
+    polytope, args = {
+        "readme": (square_file, "--density uniform --seed 3 --n 20000 --bins 4"),
+        "d1": (seg_file, "--density linear:1 --seed 5 --n 20000"),
+        "d3": (cube, "--density norm1:1 --seed 5 --n 40000"),
+    }[case]
+    argv = ["diagnose", "--polytope", str(polytope), "--eps", "0.5", "--oracle", "exact"]
+    code, out, _ = run_cli([*argv, *args.split()], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIAGNOSE_SHA256[case]
+
+
 def test_diagnose_cells_in_input_coordinates(tmp_path, capsys):
     # on the off-centre square [1, 3]^2 the cell midpoints are where sample
     # writes its points, and every row lands in a cell

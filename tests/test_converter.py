@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 import helpers
 from polysamp import converter
-from helpers import check_settings
+from helpers import check_settings, tau_statistics
 from polysamp.converter import (
     ConverterParams,
-    SampleBatch,
     compute_params,
     convert_batch,
-    tau_statistics,
 )
 from polysamp.errors import ContractViolation
 from polysamp.geometry import box, contains_many
@@ -205,7 +203,7 @@ def test_batch_semantics(sq):
     # with tau_max = 8 here, the fallback rate sits near 2^-8
     assert fb.mean() <= 0.02
     # halting iterations hug the geometric(1/2) law
-    stats = tau_statistics(batch, eps=params.eps)
+    stats = tau_statistics(batch.tau, eps=params.eps)
     assert stats.mean <= 3.0
     assert stats.sandwich_ok
 
@@ -267,23 +265,6 @@ def test_tau_statistics_without_eps_skips_pmf():
     stats = tau_statistics([1, 2, 1, 4])
     assert stats.pmf_ok is None
     assert stats.pmf_rows == []
-
-
-def test_tau_statistics_accepts_outputs_and_batches(sq):
-    # convert_batch's output, a batch built by hand, and a bare tau array
-    params = compute_params(0.5, 0.0, 1.0, 2.0, 2)
-    out = convert_batch(
-        sq, lambda k, r: helpers.uniform_in_polytope(sq, r, k), params, np.random.default_rng(8), n=16
-    )
-    assert tau_statistics(out).mean == pytest.approx(out.tau.mean())
-    assert tau_statistics(np.array([1, 3])).mean == pytest.approx(2.0)
-    batch = SampleBatch(
-        points=np.zeros((3, 2)),
-        tau=np.array([1, 2, 3]),
-        fallback=np.zeros(3, dtype=bool),
-        oracle_calls=np.array([1, 2, 3]),
-    )
-    assert tau_statistics(batch).mean == pytest.approx(2.0)
 
 
 def test_tau_statistics_rejects_empty():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import margin, margin_many
-from polysamp import dikin, dp
+from polysamp import dikin, dp, pipeline
 from polysamp.density import linear, norm1, uniform
 from polysamp.errors import ConfigError
 from polysamp.geometry import Polytope, box, contains_many
@@ -566,11 +566,12 @@ def test_pool_refills_once_when_short(sq, monkeypatch):
     assert pool.held.shape[0] == 7
 
 
-def test_pool_full_chunk_depends_on_seed_and_chunk_only(seg):
+def test_pool_full_chunk_depends_on_seed_and_chunk_only(seg, monkeypatch):
     """With the pool, a full chunk's rows still depend only on (seed, chunk):
     the first two chunks of 64 runs are the same whatever n is."""
+    monkeypatch.setattr(pipeline, "CHUNK", 64)
     runs = [
-        run_sampling(seg, linear([0.8]), eps=0.5, n=n, seed=9, c_mix=0.01, eta=1.0, chunk=64)
+        run_sampling(seg, linear([0.8]), eps=0.5, n=n, seed=9, c_mix=0.01, eta=1.0)
         for n in (128, 197)
     ]
     for field in ("points", "tau", "fallback", "oracle_calls"):

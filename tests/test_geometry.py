@@ -209,7 +209,7 @@ def test_parse_errors_carry_line_numbers(tmp_path):
 
 def test_parse_polytope_lines_offset():
     lines = ["# header", "1 2 1.0 2.0", "1 1", "-1 1", "0", "extra stuff"]
-    P, nxt = parse_polytope_lines(lines, 0)
+    P, nxt = parse_polytope_lines(lines)
     assert P.d == 1
     assert lines[nxt] == "extra stuff"
 

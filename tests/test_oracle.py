@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 from polysamp import oracle
-from polysamp.density import LogDensity, linear, uniform
+from polysamp.density import LogDensity, linear, norm1, uniform
 from polysamp.errors import ConfigError, ContractViolation
 from polysamp.geometry import Polytope, box, contains_many
 from polysamp.pipeline import run_sampling
@@ -178,16 +178,42 @@ def test_cell_masses_matches_exponential_closed_form(seg):
 
 def test_cell_masses_subnode_refinement_converges(seg):
     f = linear(np.array([1.0]))
-    coarse = cell_masses(seg, f, 8, subnodes=32)
-    fine = cell_masses(seg, f, 8, subnodes=64)
+    coarse = cell_masses(seg, f, 8)
+    fine = helpers.reference_cell_masses(seg, f, 8, subnodes=64)
+    assert oracle.SUBNODES == 32
     assert np.max(np.abs(coarse.masses - fine.masses)) < 1e-7
+
+
+@pytest.mark.parametrize("block_points", (2**12, oracle.BLOCK_POINTS, 2**26))
+def test_cell_masses_same_bits_as_the_per_cell_loop(block_points, monkeypatch):
+    # blocks of whole first-axis cells sum each cell's nodes as the per-cell
+    # loop did, whatever the block size
+    monkeypatch.setattr(oracle, "BLOCK_POINTS", block_points)
+    rng = np.random.default_rng(18)
+    cases = [
+        (helpers.segment(), (50, 2000)),
+        (helpers.square(), (1, 20)),
+        (box([-1.0] * 3, [2.0] * 3), (3,)),
+    ]
+    cases += [(helpers.random_polytope(rng, d), bins) for d, bins in ((1, (7,)), (2, (9,)), (3, (4,)))]
+    for P, bin_counts in cases:
+        for f in (uniform(), linear(np.linspace(0.5, 1.5, P.d)), norm1(1.0, P.d)):
+            for bins in bin_counts:
+                want = helpers.reference_cell_masses(P, f, bins)
+                got = cell_masses(P, f, bins)
+                assert np.array_equal(got.masses, want.masses), (P.d, f.name, bins)
+                assert np.array_equal(got.lo, want.lo) and np.array_equal(got.hi, want.hi)
+                assert np.array_equal(got.nbins, want.nbins)
 
 
 def test_cell_masses_membership_masking():
     # uniform triangle inside its own bounding box: cells fully outside K get
     # zero mass, fully inside cells get area/total, and everything sums to 1
-    P = triangle()
-    grid = cell_masses(P, uniform(), (np.zeros(2), np.ones(2), np.array([4, 4])))
+    # (the redundant rows x <= 1 and y <= 1 make that box [0, 1]^2)
+    T = triangle()
+    P = Polytope(np.vstack([T.A, np.eye(2)]), np.append(T.b, [1.0, 1.0]), T.center, T.r, T.R)
+    grid = cell_masses(P, uniform(), 4)
+    assert np.array_equal(grid.lo, [0.0, 0.0]) and np.array_equal(grid.hi, [1.0, 1.0])
     m = grid.masses.reshape(4, 4)
     assert m[3, 3] == 0.0  # cell [0.75,1]^2 misses the triangle entirely
     # fully inside cell: (1/16) / (1/2), up to the midpoint staircase on the
@@ -208,16 +234,18 @@ def test_cell_masses_symmetry(sq):
 
 
 def test_cell_masses_guards(sq, seg):
-    with pytest.raises(ConfigError, match="subnodes"):
-        cell_masses(seg, uniform(), 8, subnodes=16)
     with pytest.raises(ConfigError, match="d <= 3"):
         cell_masses(box([-1.0] * 4, [1.0] * 4), uniform(), 4)
     with pytest.raises(ConfigError, match="at least one cell"):
         cell_masses(seg, uniform(), 0)
-    with pytest.raises(ConfigError, match="lo < hi"):
-        cell_masses(seg, uniform(), (np.array([1.0]), np.array([-1.0]), np.array([4])))
+    # a slab 1/32 wide inside [-1, 1]^2, lying between two diagonals of the
+    # one-cell grid's nodes (spaced 1/16 apart): no node falls in K
+    s, w = 1.0 / 32.0, 1.0 / 64.0
+    A = np.vstack([np.eye(2), -np.eye(2), [[1.0, -1.0], [-1.0, 1.0]]])
+    b = np.array([1.0, 1.0, 1.0, 1.0, s + w, w - s])
+    slab = Polytope(A, b, center=np.array([s / 2, -s / 2]), r=0.9 * w / math.sqrt(2.0), R=2.0)
     with pytest.raises(ConfigError, match="does not intersect"):
-        cell_masses(sq, uniform(), (np.array([5.0, 5.0]), np.array([6.0, 6.0]), np.array([4, 4])))
+        cell_masses(slab, uniform(), 1)
 
 
 def test_cell_masses_refuses_grids_over_the_point_budget(seg, sq):
@@ -225,17 +253,7 @@ def test_cell_masses_refuses_grids_over_the_point_budget(seg, sq):
     for P, bins in ((sq, 257), (sq, 100_000), (box([-1.0] * 3, [1.0] * 3), 13), (seg, 2**21 + 1)):
         with pytest.raises(ConfigError, match="quadrature points"):
             cell_masses(P, uniform(), bins)
-    with pytest.raises(ConfigError, match="quadrature points"):
-        cell_masses(sq, uniform(), 128, subnodes=65)
     assert (6 * 32) ** 3 <= oracle.QUADRATURE_POINTS  # diagnose's d = 3 default
-
-
-def test_cell_masses_accepts_existing_grid(seg):
-    a = cell_masses(seg, uniform(), 10)
-    b = cell_masses(seg, linear(np.array([1.0])), a)
-    assert np.array_equal(a.lo, b.lo)
-    assert np.array_equal(a.nbins, b.nbins)
-    assert not np.allclose(a.masses, b.masses)
 
 
 # ---------------------------------------------------------------------------

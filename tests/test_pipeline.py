@@ -12,6 +12,12 @@ from polysamp.density import linear
 from polysamp.pipeline import plan_sampling
 
 
+@pytest.fixture(autouse=True)
+def small_chunks(monkeypatch):
+    """Chunks of 64 rows, so a few hundred rows make several chunks."""
+    monkeypatch.setattr(pipeline, "CHUNK", 64)
+
+
 def test_worker_count_rule(pin_cpus, monkeypatch):
     # W = min(usable CPUs, chunks, MAX_WORKERS); 1 forks nothing
     pin_cpus(8)
@@ -39,7 +45,7 @@ def _plan(sq, oracle: str):
     """Six chunks of 64 rows, the last one partial."""
     f = linear([1.0, 0.0])
     n = 5 * 64 + 3
-    return plan_sampling(sq, f, 0.5, n, seed=5, c_mix=0.01, eta=0.8, oracle=oracle, chunk=64)
+    return plan_sampling(sq, f, 0.5, n, seed=5, c_mix=0.01, eta=0.8, oracle=oracle)
 
 
 @pytest.mark.parametrize("oracle", ("exact", "dikin"))
