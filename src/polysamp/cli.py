@@ -442,11 +442,12 @@ def cmd_diagnose(args) -> int:
     if P.d > 3:
         raise ConfigError("diagnose compares against cell quadrature and needs d <= 3")
     with _open_out(args.out) as out:
-        # the grid draws no randomness: an absurd --bins, or one too fine
-        # for --n draws to resolve any cell, is refused before sampling
+        # a bad --cmix or --eps is refused before the quadrature, and a grid
+        # that is absurd or too fine for --n draws before sampling
+        c_mix = _resolve_cmix(args, dikin.DESK_CMIX)
+        converter.compute_params(args.eps, f.L, P.r, P.R, P.d)
         bins = args.bins if args.bins is not None else {1: 50, 2: 20, 3: 6}[P.d]
         grid = oracle.cell_masses(P, f, bins)
-        c_mix = _resolve_cmix(args, dikin.DESK_CMIX)
         need = grid.min_n()
         if args.n < need:
             raise ConfigError(

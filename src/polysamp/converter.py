@@ -57,15 +57,22 @@ class ConverterParams:
 
 @dataclass
 class SampleBatch:
-    """Vectorized converter outputs: points plus per-run provenance."""
+    """Vectorized converter outputs: each run's point and halting round."""
 
-    points: np.ndarray        # (n, d)
-    tau: np.ndarray           # (n,) int, halting iteration (tau_max+1 on fallback)
-    fallback: np.ndarray      # (n,) bool; erm's rows hold none/ball/center labels
-    oracle_calls: np.ndarray  # (n,) int
+    points: np.ndarray  # (n, d)
+    tau: np.ndarray     # (n,) int, halting round (tau_max + 1 on fallback)
+    tau_max: int
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+    @property
+    def fallback(self) -> np.ndarray:  # (n,) bool
+        return self.tau > self.tau_max
+
+    @property
+    def oracle_calls(self) -> np.ndarray:  # (n,) int, one draw per round
+        return np.minimum(self.tau, self.tau_max)
 
 
 def compute_params(eps: float, L: float, r: float, R: float, d: int) -> ConverterParams:
@@ -114,9 +121,7 @@ def convert_batch(
     d = P.d
     dr = params.delta * P.r
     points = np.empty((n, d))
-    tau = np.zeros(n, dtype=np.int64)
-    fallback = np.zeros(n, dtype=bool)
-    oracle_calls = np.zeros(n, dtype=np.int64)
+    tau = np.full(n, params.tau_max + 1, dtype=np.int64)  # until a round halts
     alive = np.arange(n)
 
     for i in range(1, params.tau_max + 1):
@@ -137,19 +142,14 @@ def convert_batch(
         xi = sample_unit_ball_many(rng, k, d)
         theta_hat = (theta + dr * xi) / (1.0 - params.delta)
         halt = contains_many(P, theta_hat) & (rng.random(k) < 0.5)
-        if np.any(halt):
-            done = alive[halt]
-            points[done] = theta_hat[halt]
-            tau[done] = i
-            oracle_calls[done] = i
-            alive = alive[~halt]
+        done = alive[halt]
+        points[done] = theta_hat[halt]
+        tau[done] = i
+        alive = alive[~halt]
 
     if alive.size:
         points[alive] = P.center + P.r * sample_unit_ball_many(rng, alive.size, d)
-        tau[alive] = params.tau_max + 1
-        fallback[alive] = True
-        oracle_calls[alive] = params.tau_max
 
     check_outer_radius(P, points)
-    return SampleBatch(points=points, tau=tau, fallback=fallback, oracle_calls=oracle_calls)
+    return SampleBatch(points=points, tau=tau, tau_max=params.tau_max)
 

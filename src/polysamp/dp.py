@@ -9,8 +9,8 @@ value has an exact vertex-enumeration oracle.
 
 The mechanism density is sampled through ``pipeline.plan_sampling``, with
 the input checks, chunk streams and step-size tuner stream of ``sample``,
-and ``private_erm_batch`` returns that run's ``SamplingResult``: its
-points are the thetas, its fallback column holds labels, and its plan
+and ``private_erm_batch`` returns that run's rows as an ``ErmResult``: its
+points are the thetas, its fallback labels derive from tau, and its plan
 holds the (capped) schedule, T and eta.
 
 A runtime cap keeps the sampling loop itself private: if the converter has
@@ -35,6 +35,7 @@ from .geometry import Polytope, parse_polytope_lines
 
 __all__ = [
     "ErmInstance",
+    "ErmResult",
     "load_erm_instance",
     "total_loss_density",
     "halting_threshold",
@@ -163,19 +164,31 @@ FALLBACK_BALL = "ball"
 FALLBACK_CENTER = "center"
 
 
+@dataclass
+class ErmResult(pipeline.SamplingResult):
+    """``private_erm_batch``'s rows; capped: the runtime cap lowered tau_max."""
+
+    capped: bool
+
+    @property
+    def fallback(self) -> np.ndarray:  # (n,) FALLBACK_NONE, _BALL or _CENTER
+        labels = np.full(len(self), FALLBACK_NONE, dtype="<U6")
+        labels[super().fallback] = FALLBACK_CENTER if self.capped else FALLBACK_BALL
+        return labels
+
+
 def private_erm_batch(
     inst: ErmInstance,
     seed: int,
     n_runs: int,
     c_mix: float = dikin.ANALYSIS_CMIX,
     eta: float | None = None,
-) -> pipeline.SamplingResult:
+) -> ErmResult:
     """n_runs independent private ERM draws; run j is a pure function of
     (seed, j), drawn on the streams of ``sample``'s row j.
 
-    The rows' fallback column holds FALLBACK_NONE, FALLBACK_BALL or, where
-    the runtime cap fired, FALLBACK_CENTER; ``result.plan`` carries the
-    schedule the runs used, whose tau_max is at most ``halting_threshold``.
+    ``result.plan`` carries the schedule the runs used, whose tau_max is at
+    most ``halting_threshold``.
 
     c_mix defaults to 1 here (unlike the desk-scale sampling commands):
     the mechanism's scaled density is so flat that the full walk length is
@@ -191,14 +204,9 @@ def private_erm_batch(
     capped = t_halt < plan.params.tau_max
     if capped:
         plan = replace(plan, params=replace(plan.params, tau_max=t_halt))
-    result = plan.collect()
-
-    kinds = np.full(n_runs, FALLBACK_NONE, dtype="<U6")
-    kinds[result.fallback] = FALLBACK_CENTER if capped else FALLBACK_BALL
-    if capped:
-        # The cap fired: a data-independent output keeps the runtime private.
-        result.points[result.fallback] = plan.translation  # the inner-ball center
-    result.fallback = kinds
+    result = ErmResult(**vars(plan.collect()), capped=capped)
+    # where the cap fired, the data-independent inner-ball center keeps the runtime private
+    result.points[result.fallback == FALLBACK_CENTER] = plan.translation
     return result
 
 

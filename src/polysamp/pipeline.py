@@ -10,14 +10,14 @@ however the chunks are shared out between processes.
 
 ``plan_sampling`` does the set-up (normalize, schedule, T, eta, oracle) and
 returns a ``SamplingPlan``. Its ``chunks()`` runs the chunks in W processes,
-the caller's and W - 1 forked chunk workers, and yields each chunk's rows,
-or what a ``render`` function made of them in the process that ran the
-chunk, in chunk order (the CLI's ``sample`` renders CSV text). A caller that
-handles each chunk as it comes holds O(W * CHUNK) rows at a time, whatever
-n is. ``collect()`` gathers every chunk into one
-``SamplingResult``: the rows, with the plan that made them attached, so a
-run's settings (params, T, eta) and walk counters live on the plan alone.
-``run_sampling`` and ``dp.private_erm_batch`` return it.
+the caller's and W - 1 forked chunk workers, and yields each chunk's rows
+(a ``converter.SampleBatch``, its points and tau), or what a ``render``
+function made of them in the process that ran the chunk, in chunk order
+(the CLI's ``sample`` renders CSV text). A caller that handles each chunk
+as it comes holds O(W * CHUNK) rows at a time, whatever n is. ``collect()``
+gathers every chunk into one ``SamplingResult``: the rows, with the plan
+that made them attached, so a run's settings (params, T, eta) and walk
+counters live on the plan alone. ``run_sampling`` returns it.
 """
 
 from __future__ import annotations
@@ -198,17 +198,13 @@ class SamplingPlan:
         filled into one preallocated array per column, with this plan."""
         points = np.empty((self.n, self.polytope.d))
         tau = np.empty(self.n, dtype=np.int64)
-        fallback = np.empty(self.n, dtype=bool)
-        oracle_calls = np.empty(self.n, dtype=np.int64)
         start = 0
         for batch in self.chunks():
             sl = slice(start, start + len(batch))
             points[sl] = batch.points
             tau[sl] = batch.tau
-            fallback[sl] = batch.fallback
-            oracle_calls[sl] = batch.oracle_calls
             start = sl.stop
-        return SamplingResult(points, tau, fallback, oracle_calls, plan=self)
+        return SamplingResult(points, tau, self.params.tau_max, plan=self)
 
 
 @dataclass

