@@ -61,8 +61,7 @@ def _file_digest(path) -> str:
 
 
 def _config_hash(args) -> str:
-    digest = _file_digest(args.polytope) if args.polytope else "none"
-    parts = [f"cmd={args.command}", f"polytope={digest}"]
+    parts = [f"cmd={args.command}", f"polytope={_file_digest(args.polytope)}"]
     for key in ("density", "eps", "seed", "n", "cmix", "eta", "oracle", "bins"):
         if hasattr(args, key):
             parts.append(f"{key}={getattr(args, key)!r}")
@@ -375,8 +374,6 @@ def _sample_rows(start: int, batch: converter.SampleBatch) -> str:
 
 def _load_inputs(args):
     """The polytope and density of --polytope and --density."""
-    if args.polytope is None:
-        raise ConfigError("--polytope is required")
     P = load_polytope(args.polytope)
     return P, parse_density(args.density, P.d)
 
@@ -546,7 +543,7 @@ def cmd_erm(args) -> int:
 def _add_common(sp, *, density: bool = True, eps: bool = True, sampling: bool = True):
     """The shared flags; sampling=False leaves out those only a run uses
     (--seed, --n, --eta), for ``params``, which samples nothing."""
-    sp.add_argument("--polytope", help="polytope (or ERM instance) file")
+    sp.add_argument("--polytope", required=True, help="polytope (or ERM instance) file")
     if density:
         sp.add_argument(
             "--density",
@@ -604,9 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "erm" and args.polytope is None:
-        print("config error: erm needs --polytope INSTANCE_FILE", file=sys.stderr)
-        return 2
     handler = {
         "params": cmd_params,
         "sample": cmd_sample,

@@ -24,14 +24,13 @@ import math
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import ceil, log
-from pathlib import Path
 
 import numpy as np
 
 from . import dikin, pipeline
 from .density import LogDensity, exp_mechanism_density
 from .errors import ConfigError
-from .geometry import Polytope, parse_polytope_lines
+from .geometry import Polytope, check_end, check_rows, data_rows, parse_polytope, row_floats
 
 __all__ = [
     "ErmInstance",
@@ -94,51 +93,26 @@ class ErmInstance:
 def load_erm_instance(path) -> ErmInstance:
     """Parse an ERM instance file.
 
-    Layout: a polytope block (same format as polytope files), then a line
-    with n, then n loss-vector lines, then a final line ``L eps``.
+    Layout: a polytope block (``geometry.parse_polytope``), then a row with
+    the loss count n, then n rows of d loss coefficients, then a final row
+    ``L eps``. A count that the rows after it cannot hold is refused before
+    anything is allocated.
     """
+    rows = data_rows(path)
+    P, used = parse_polytope(rows)
+    check_rows(rows, used + 1, "no loss count")
+    lineno, fields = rows[used]
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
-    lines = text.splitlines()
-    P, pos = parse_polytope_lines(lines)
-
-    def next_line(pos):
-        while pos < len(lines):
-            s = lines[pos].strip()
-            if s and not s.startswith("#"):
-                return s, pos + 1
-            pos += 1
-        raise ConfigError(f"{path}: unexpected end of file in ERM block")
-
-    s, pos = next_line(pos)
-    try:
-        n = int(s)
+        (n,) = map(int, fields)
     except ValueError:
-        raise ConfigError(f"{path} line {pos}: expected loss count, got {s!r}") from None
-    losses = np.empty((n, P.d))
-    for i in range(n):
-        s, pos = next_line(pos)
-        parts = s.split()
-        if len(parts) != P.d:
-            raise ConfigError(f"{path} line {pos}: expected {P.d} loss coefficients")
-        try:
-            losses[i] = [float(v) for v in parts]
-        except ValueError:
-            raise ConfigError(f"{path} line {pos}: bad loss coefficient") from None
-    s, pos = next_line(pos)
-    parts = s.split()
-    if len(parts) != 2:
-        raise ConfigError(f"{path} line {pos}: expected 'L eps'")
-    try:
-        L, eps_dp = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ConfigError(f"{path} line {pos}: bad L/eps value") from None
-    while pos < len(lines):
-        if lines[pos].strip() and not lines[pos].strip().startswith("#"):
-            raise ConfigError(f"{path} line {pos + 1}: trailing content after ERM block")
-        pos += 1
+        raise ConfigError(f"line {lineno}: expected loss count, got {' '.join(fields)!r}") from None
+    if n < 1:
+        raise ConfigError(f"line {lineno}: loss count must be positive, got {n}")
+    first, end = used + 1, used + 1 + n
+    check_rows(rows, end + 1, f"the loss count declares {n} loss rows and an 'L eps' row")
+    losses = np.array([row_floats(row, P.d, "loss coefficients") for row in rows[first:end]])
+    L, eps_dp = row_floats(rows[end], 2, "values 'L eps'")
+    check_end(rows, end + 1, "ERM block")
     return ErmInstance(polytope=P, losses=losses, L=L, eps_dp=eps_dp)
 
 

@@ -8,9 +8,14 @@ other modules works relative to these two radii.
 
 Convention: the polytope is closed, so boundary points are members and
 ``contains_many`` applies ``A x <= b`` with no tolerance.
+
+The text format of both input files lives here too (``data_rows`` onward):
+``dp`` reads an ERM instance's loss block through the same helpers.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -79,9 +84,10 @@ class Polytope:
 
         # Certify the inner ball: distance from center to every facet plane
         # must be at least r. Exact comparison, no tolerance; callers that
-        # compute r from the same distances get equality bit for bit.
+        # compute r from the same distances get equality bit for bit. A nan
+        # slack, from a product or norm that overflows, certifies nothing.
         slacks = (b - A @ center) / row_norms
-        if np.any(slacks < r):
+        if not np.all(slacks >= r):
             worst = int(np.argmin(slacks))
             raise ConfigError(
                 f"inner ball not contained in polytope: facet {worst} is at "
@@ -216,89 +222,86 @@ def check_outer_radius(P: Polytope, X) -> None:
         )
 
 
-def parse_polytope_lines(lines: list[str]) -> tuple[Polytope, int]:
-    """Parse a polytope block from pre-split text lines.
+def data_rows(path) -> list[tuple[int, list[str]]]:
+    """The data rows of a polytope or ERM instance file, read as UTF-8:
+    (line number, whitespace-split fields) for every line that is neither
+    blank nor a ``#`` comment."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    rows = enumerate(map(str.split, lines), 1)
+    return [(lineno, fields) for lineno, fields in rows if fields and not fields[0].startswith("#")]
+
+
+def row_floats(row: tuple[int, list[str]], expect: int, what: str) -> list[float]:
+    """The expect finite floats of one data row; a ConfigError naming its
+    line if it has another count, a field that is not a float, or NaN/Inf."""
+    lineno, fields = row
+    if len(fields) != expect:
+        raise ConfigError(f"line {lineno}: expected {expect} {what}, got {len(fields)}")
+    try:
+        vals = [float(tok) for tok in fields]
+    except ValueError as exc:
+        raise ConfigError(f"line {lineno}: could not parse {what}: {exc}") from None
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"line {lineno}: {what}: NaN/Inf not allowed")
+    return vals
+
+
+def check_rows(rows: list, count: int, what: str) -> None:
+    """Refuse rows that end before the first count, which a block declares."""
+    if len(rows) < count:
+        where = f"line {rows[-1][0]}: " if rows else ""
+        raise ConfigError(f"{where}unexpected end of file: {what}")
+
+
+def check_end(rows: list, used: int, what: str) -> None:
+    """Refuse data rows after the first used ones, which hold the block."""
+    if len(rows) > used:
+        raise ConfigError(f"line {rows[used][0]}: trailing content after {what}")
+
+
+def parse_polytope(rows: list[tuple[int, list[str]]]) -> tuple[Polytope, int]:
+    """(Polytope, rows_used) from the block that starts ``data_rows``'s rows.
 
     Block layout: header ``d m r R``, then m constraint rows ``a_1 ... a_d b``,
     then one center row ``c_1 ... c_d``. Values are decimal floats; NaN and
-    infinities are rejected. Blank lines and ``#`` comments are skipped.
-
-    Parameters
-    ----------
-    lines : list of str
-        All lines of the file; the block starts at its first data line.
-
-    Returns
-    -------
-    (Polytope, int)
-        The parsed polytope and the index of the first line after the block
-        (useful for files that embed a polytope inside a larger format).
+    infinities are rejected. A header that declares more rows than follow
+    is refused before anything is allocated. rows_used is m + 2, where a
+    format that embeds a polytope (``dp``'s) goes on.
     """
-
-    def fail(lineno: int, msg: str) -> ConfigError:
-        return ConfigError(f"line {lineno + 1}: {msg}")
-
-    def next_data_line(i: int) -> int:
-        while i < len(lines):
-            stripped = lines[i].strip()
-            if stripped and not stripped.startswith("#"):
-                return i
-            i += 1
-        raise ConfigError("unexpected end of polytope block")
-
-    def floats(i: int, expect: int, what: str) -> np.ndarray:
-        try:
-            vals = np.array([float(tok) for tok in lines[i].split()], dtype=float)
-        except ValueError as exc:
-            raise fail(i, f"could not parse {what}: {exc}") from None
-        if vals.size != expect:
-            raise fail(i, f"{what}: expected {expect} values, got {vals.size}")
-        if not np.all(np.isfinite(vals)):
-            raise fail(i, f"{what}: NaN/Inf not allowed")
-        return vals
-
-    i = next_data_line(0)
-    header = lines[i].split()
+    check_rows(rows, 1, "no polytope header")
+    lineno, header = rows[0]
     if len(header) != 4:
-        raise fail(i, "header must be 'd m r R'")
+        raise ConfigError(f"line {lineno}: header must be 'd m r R'")
     try:
         d, m = int(header[0]), int(header[1])
         r, R = float(header[2]), float(header[3])
     except ValueError as exc:
-        raise fail(i, f"bad header: {exc}") from None
+        raise ConfigError(f"line {lineno}: bad header: {exc}") from None
     if d < 1 or m < 1:
-        raise fail(i, "d and m must be positive integers")
-    if not (np.isfinite(r) and np.isfinite(R)):
-        raise fail(i, "r and R must be finite")
+        raise ConfigError(f"line {lineno}: d and m must be positive integers")
+    check_rows(rows, m + 2, f"the header declares m = {m} constraint rows and a center row")
 
-    A = np.empty((m, d))
-    b = np.empty(m)
-    for k in range(m):
-        i = next_data_line(i + 1)
-        row = floats(i, d + 1, f"constraint row {k + 1}")
-        A[k] = row[:d]
-        b[k] = row[d]
-    i = next_data_line(i + 1)
-    center = floats(i, d, "center row")
-
+    facets = enumerate(rows[1 : m + 1], 1)
+    block = np.array([row_floats(row, d + 1, f"values in constraint row {k}") for k, row in facets])
+    lineno = rows[m + 1][0]
+    center = row_floats(rows[m + 1], d, "values in the center row")
     try:
-        poly = Polytope(A, b, center, r, R)
+        # copies: A feeds every walk product, so it stays C-contiguous
+        poly = Polytope(block[:, :d].copy(), block[:, d].copy(), center, r, R)
     except ConfigError as exc:
-        raise ConfigError(f"invalid polytope ending at line {i + 1}: {exc}") from None
-    return poly, i + 1
+        raise ConfigError(f"invalid polytope ending at line {lineno}: {exc}") from None
+    return poly, m + 2
 
 
 def load_polytope(path) -> Polytope:
-    """Read a polytope from a text file (see ``parse_polytope_lines``)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
-    poly, end = parse_polytope_lines(lines)
-    for j in range(end, len(lines)):
-        if lines[j].strip() and not lines[j].strip().startswith("#"):
-            raise ConfigError(f"line {j + 1}: trailing content after polytope block")
+    """Read a polytope file: one ``parse_polytope`` block and nothing after it."""
+    rows = data_rows(path)
+    poly, used = parse_polytope(rows)
+    check_end(rows, used, "polytope block")
     return poly
 
 

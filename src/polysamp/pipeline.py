@@ -82,7 +82,6 @@ class SamplingPlan:
     """
 
     polytope: Polytope  # normalized
-    density: LogDensity  # shifted to normalized coordinates
     translation: np.ndarray
     params: converter.ConverterParams
     seed: int
@@ -265,7 +264,6 @@ def plan_sampling(
 
     return SamplingPlan(
         polytope=Pn,
-        density=fn,
         translation=translation,
         params=params,
         seed=seed,

@@ -86,11 +86,13 @@ def exp_interval_masses(s: float, lo: float, hi: float, nbins: int) -> np.ndarra
     return raw / raw.sum()
 
 
-def exp_interval_cdf(s: float, a: float, b: float, x: float) -> float:
-    """P(theta <= x) under exp(-s theta) restricted to [a, b]."""
+def exp_interval_cdf(s: float, a: float, b: float, x):
+    """P(theta <= x) under exp(-s theta) restricted to [a, b], for a float
+    or an array x (0 below a, 1 above b)."""
+    x = np.clip(x, a, b)
     if s == 0:
         return (x - a) / (b - a)
-    return (math.exp(-s * a) - math.exp(-s * x)) / (math.exp(-s * a) - math.exp(-s * b))
+    return (np.exp(-s * a) - np.exp(-s * x)) / (np.exp(-s * a) - np.exp(-s * b))
 
 
 def exp_interval_mean(s: float, a: float, b: float) -> float:
@@ -109,6 +111,50 @@ def mech_mean_symmetric(k: float) -> float:
     if k == 0:
         return 0.0
     return 1.0 / k - math.cosh(k) / math.sinh(k)
+
+
+def converter_law_1d(s: float, eps: float, mu_cdf, stretch: bool = True, R: float = 2.0, kinks=()):
+    """(z, log(nu(z) / pi(z))) for the converter's output law nu on the
+    segment K = [-1, 1] (r = 1 about 0, declared outer radius R), with pi
+    proportional to exp(-s x) and an oracle whose law mu has the CDF mu_cdf
+    (vectorized, continuous, and smooth but at -1, 1 and kinks).
+
+    A round draws theta from mu and W = theta + delta r xi, xi uniform on
+    [-1, 1], so W has density g(w) = (F_mu(w + delta r) - F_mu(w - delta r))
+    / (2 delta r). It halts at Z = W / (1 - delta) (Z = W without the
+    stretch) when Z lies in K and a fair coin says so: at density q(z) =
+    (1 - delta) g((1 - delta) z) / 2 on K, with probability p, the integral
+    of q. After tau_max rounds the fallback draws from the inscribed ball,
+    uniform on K here, so
+
+        nu = q (1 - (1 - p)^tau_max) / p + (1 - p)^tau_max / 2.
+
+    p is a Gauss-Legendre sum between the points where q is not smooth. z
+    is a uniform grid, geometric grids down to 1e-12 from both ends, and a
+    fine grid across each ramp of q, where g's window passes a kink of F_mu.
+    """
+    params = converter.compute_params(eps, abs(s), 1.0, R, 1)
+    dr = params.delta
+    shrink = 1.0 - params.delta if stretch else 1.0
+
+    def q(z):
+        w = shrink * z
+        return shrink * (mu_cdf(w + dr) - mu_cdf(w - dr)) / (4.0 * dr)
+
+    ramps = (np.array([-1.0, 1.0, *kinks])[:, None] + [-dr, dr]) / shrink
+    edges = np.unique(np.clip(np.append(ramps, [-1.0, 1.0]), -1.0, 1.0))
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    mid, half = (edges[1:] + edges[:-1]) / 2.0, np.diff(edges) / 2.0
+    p = float(np.sum(weights[:, None] * half * q(mid + half * nodes[:, None])))
+
+    ends = 10.0 ** np.linspace(-12.0, 0.0, 241)
+    fine = ramps.mean(axis=1)[:, None] + np.linspace(-2.0 * dr, 2.0 * dr, 201)
+    z = np.concatenate([np.linspace(-1.0, 1.0, 20001), ends - 1.0, 1.0 - ends, fine.ravel()])
+    z = np.unique(z[np.abs(z) <= 1.0])
+    miss = (1.0 - p) ** params.tau_max
+    nu = q(z) * (1.0 - miss) / p + miss / 2.0
+    pi = np.full(z.shape, 0.5) if s == 0 else s * np.exp(-s * z) / (math.exp(s) - math.exp(-s))
+    return z, np.log(nu / pi)
 
 
 # ---------------------------------------------------------------------------

@@ -376,9 +376,11 @@ def test_exit_2_malformed_polytope_reports_line(tmp_path, capsys):
 
 
 def test_exit_2_missing_polytope_flag(capsys):
-    code, _, err = run_cli(["sample", "--eps", "0.5"], capsys)
-    assert code == 2
-    assert "--polytope" in err
+    # argparse refuses it (exit 2) before any work is done
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sample", "--eps", "0.5"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --polytope" in capsys.readouterr().err
 
 
 def test_exit_3_under_declared_outer_radius(tmp_path, capsys):
@@ -1199,9 +1201,10 @@ def test_cmix_is_checked_with_either_oracle(
 
 
 def test_erm_requires_instance_file(capsys):
-    code, _, err = run_cli(["erm", "--n", "5"], capsys)
-    assert code == 2
-    assert "--polytope" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["erm", "--n", "5"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --polytope" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,47 @@ def test_halt_share_at_the_stretch_scale(P, want):
     assert abs(share - want) <= 5.0 * math.sqrt(want * (1.0 - want) / calls)
 
 
+# (eps, s, R) for f = s x on the segment [-1, 1] with r = 1: the README's
+# run, a steeper density, a density that falls the other way and looser
+# outer radii; every eps is below log 2, the deficit without the stretch
+_LAW_CASES = [(0.5, 1.0, 2.0), (0.25, 2.0, 2.0), (0.1, -1.0, 4.0), (0.5, 3.0, 8.0)]
+
+
+def _pi_cdf(s):
+    return lambda x: helpers.exp_interval_cdf(s, -1.0, 1.0, x)
+
+
+@pytest.mark.parametrize("eps, s, R", _LAW_CASES)
+def test_converter_law_is_eps_close_pointwise(eps, s, R):
+    # the exact oracle: sup |log nu / pi| is 1.8e-4 at the README's eps = 0.5
+    _, log_ratio = helpers.converter_law_1d(s, eps, _pi_cdf(s), R=R)
+    assert np.abs(log_ratio).max() <= eps
+
+
+@pytest.mark.parametrize("eps, s, R", _LAW_CASES)
+def test_converter_law_with_a_one_spot_oracle(eps, s, R):
+    # mu = (1 - t) pi + t U[0, 1e-9] is TV-close to pi by t, the schedule's
+    # target exp(delta_log), and holds all its error in one spot
+    t = math.exp(compute_params(eps, abs(s), 1.0, R, 1).delta_log)
+    pi_cdf = _pi_cdf(s)
+
+    def mu_cdf(x):
+        return (1.0 - t) * pi_cdf(x) + t * np.clip(x / 1e-9, 0.0, 1.0)
+
+    _, log_ratio = helpers.converter_law_1d(s, eps, mu_cdf, R=R, kinks=(0.0, 1e-9))
+    assert np.abs(log_ratio).max() <= eps
+
+
+@pytest.mark.parametrize("eps, s, R", _LAW_CASES)
+def test_converter_law_without_the_stretch_breaks(eps, s, R):
+    # the smoothing ball hangs over the boundary, so an end keeps about
+    # half of pi's density there: |log nu / pi| reaches log 2 > eps
+    z, log_ratio = helpers.converter_law_1d(s, eps, _pi_cdf(s), stretch=False, R=R)
+    worst = np.argmax(np.abs(log_ratio))
+    assert abs(z[worst]) == 1.0
+    assert np.abs(log_ratio[worst]) > eps
+
+
 def test_batch_oracle_shape_violation(sq):
     params = compute_params(0.5, 0.0, 1.0, 2.0, 2)
 

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
 from helpers import contains, margin, margin_many, sample_unit_ball
+from polysamp.dp import load_erm_instance
 from polysamp.errors import ConfigError, ContractViolation
 from polysamp.geometry import (
     Polytope,
@@ -17,7 +18,7 @@ from polysamp.geometry import (
     contains_many,
     load_polytope,
     normalize,
-    parse_polytope_lines,
+    parse_polytope,
     sample_unit_ball_many,
 )
 
@@ -54,6 +55,10 @@ def test_polytope_validation_radii(sq):
     # non-finite entries
     with pytest.raises(ConfigError):
         Polytope(A, np.array([1.0, np.inf, 1.0, 1.0]), np.zeros(2), 0.5, 2.0)
+    # a norm and a product that overflow make the slack inf / inf = nan,
+    # though the center breaks the first row by far
+    with pytest.raises(ConfigError, match="inner ball"), np.errstate(over="ignore", invalid="ignore"):
+        Polytope([[1e308], [-1.0]], [1.0, 1.0], [10.0], 0.5, 1.0)
 
 
 def test_contains_and_margin(sq):
@@ -208,10 +213,71 @@ def test_parse_errors_carry_line_numbers(tmp_path):
 
 
 def test_parse_polytope_lines_offset():
-    lines = ["# header", "1 2 1.0 2.0", "1 1", "-1 1", "0", "extra stuff"]
-    P, nxt = parse_polytope_lines(lines)
+    # the block's rows_used is where a format that embeds it goes on
+    rows = [(2, ["1", "2", "1.0", "2.0"]), (3, ["1", "1"]), (4, ["-1", "1"]), (5, ["0"]), (6, ["extra"])]
+    P, used = parse_polytope(rows)
     assert P.d == 1
-    assert lines[nxt] == "extra stuff"
+    assert rows[used] == (6, ["extra"])
+
+
+# A valid ERM instance (whose first four rows are a valid polytope file):
+# the segment [-1, 1] with two losses
+_VALID_LINES = ["1 2 1.0 1.0", "1 1", "-1 1", "0", "2", "1", "-1", "1 0.5"]
+
+
+@pytest.mark.parametrize(
+    "line, text",
+    [
+        (1, "2 1000000000000 1.0 2.0"),  # a polytope header with m = 10^12
+        (5, "1000000000000"),  # a loss count of 10^12
+        (5, "-3"),  # a negative loss count
+    ],
+)
+def test_declared_counts_beyond_the_file_are_config_errors(tmp_path, line, text):
+    # each is refused before an array of the declared size is allocated
+    lines = list(_VALID_LINES)
+    lines[line - 1] = text
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=r"^line \d+: "):
+        load_erm_instance(path)
+    if line == 1:
+        with pytest.raises(ConfigError, match="unexpected end of file"):
+            load_polytope(path)
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(["#", "nan", "inf", "-inf", "0", "1", "-1", "0.5", "1e308", "x"]),
+    st.integers(-(10**13), 10**13).map(str),
+    st.floats(-4.0, 4.0).map(repr),
+)
+
+
+@st.composite
+def _input_texts(draw) -> str:
+    """The valid instance with a few lines replaced, inserted or deleted;
+    a new line holds up to four tokens, so it can be blank or short."""
+    lines = list(_VALID_LINES)
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, len(lines)))
+        new = draw(st.none() | st.lists(_TOKENS, max_size=4).map(" ".join))
+        if new is None:
+            del lines[i : i + 1]
+        else:
+            lines[i : i + draw(st.integers(0, 1))] = [new]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_input_texts())
+def test_malformed_input_files_are_config_errors(tmp_path, text):
+    path = tmp_path / "fuzz.txt"
+    path.write_text(text)
+    for load in (load_polytope, load_erm_instance):
+        try:
+            load(path)
+        except ConfigError:
+            pass
 
 
 def test_box_helper():
