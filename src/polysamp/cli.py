@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, converter, dikin, dp, oracle
+from . import __version__, converter, dikin, dp, oracle, pipeline
 from .density import parse_density
 from .errors import ConfigError, ContractViolation
 from .geometry import load_polytope
@@ -297,14 +297,9 @@ def _float_text(x: np.ndarray) -> np.ndarray:
 
 
 def _int_text(col: np.ndarray) -> np.ndarray:
-    """str of each int of col, as a (len(col), width) uint8 field: the
-    digits right-aligned, preceded by a sign byte when any is negative."""
-    if col.dtype.kind == "u":
-        magnitude, negative = col.astype(np.uint64), None
-    else:
-        col = col.astype(np.int64)
-        magnitude = np.abs(col).view(np.uint64)  # |min| wraps to -2^63, which is 2^63 here
-        negative = col < 0 if col.min() < 0 else None
+    """str of each int of col, which are all non-negative (indices, counts
+    and bools), as a (len(col), width) uint8 field: the digits right-aligned."""
+    magnitude = col.astype(np.uint64)
     width = len(str(magnitude.max()))
     groups = -(-width // 4)
     text = np.empty((len(col), groups), _U4)
@@ -313,22 +308,14 @@ def _int_text(col: np.ndarray) -> np.ndarray:
         table = np.uint64(20000 if g == groups - 1 else 10000)  # see _digits4
         text[:, g] = _DIGITS4[magnitude - above * 10000 + (above == 0) * table]
         magnitude = above
-    digits = text.view(np.uint8)[:, 4 * groups - width :]
-    if negative is None:
-        return digits
-    field = np.empty((len(col), 1 + width), np.uint8)
-    field[:, 0] = np.where(negative, ord("-"), 0)
-    field[:, 1:] = digits
-    return field
+    return text.view(np.uint8)[:, 4 * groups - width :]
 
 
 def _column_text(col: np.ndarray) -> np.ndarray:
     kind = col.dtype.kind
     if kind == "f":
         return _float_text(col.astype(np.float64))
-    if kind == "b":
-        return _int_text(col.view(np.uint8))
-    if kind in "iu":
+    if kind in "biu":
         return _int_text(col)
     return col.astype("S").view(np.uint8).reshape(len(col), -1)  # ASCII labels
 
@@ -578,9 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "sample",
         help="draw N points to CSV",
-        description="Draw N points to CSV. Chunks of 8192 rows are sampled and "
-        "formatted in one process per usable CPU, at most 2; the bytes do not "
-        "depend on the count.",
+        description=f"Draw N points to CSV. Chunks of {pipeline.CHUNK} rows are sampled "
+        f"and formatted in one process per usable CPU, at most {pipeline.MAX_WORKERS}; "
+        "the bytes do not depend on the count.",
     )
     _add_common(sp)
     _add_output(sp)

@@ -73,32 +73,6 @@ def shifted(g: LogDensity, t) -> LogDensity:
     return LogDensity(shifted_fn, g.L, name=f"{g.name}+shift")
 
 
-def exp_mechanism_density(f: LogDensity, eps: float, L_total: float, R: float) -> LogDensity:
-    """Exponential-mechanism scaling: theta -> (eps / (2 L_total R)) f(theta).
-
-    Sampling exp(-scaled f) with infinity-distance error eps is what makes
-    the mechanism pure eps-differentially private. The returned Lipschitz
-    constant is exactly scale * L_total = eps / (2 R) when f is
-    L_total-Lipschitz.
-
-    Args:
-        f: the total loss (its own .L should equal L_total; the scale uses
-            the explicit argument so callers control the sensitivity bound).
-        eps: privacy budget, > 0.
-        L_total: Lipschitz bound of the total loss, > 0.
-        R: outer radius of the domain, > 0.
-    """
-    if eps <= 0 or L_total <= 0 or R <= 0:
-        raise ConfigError("exp_mechanism_density needs eps, L_total, R all positive")
-    scale = eps / (2.0 * L_total * R)
-    base = f._fn
-
-    def scaled_fn(X, _base=base, _s=scale):
-        return _s * np.asarray(_base(X), dtype=float)
-
-    return LogDensity(scaled_fn, scale * f.L, name=f"expmech({f.name})")
-
-
 # ---------------------------------------------------------------------------
 # Built-in density kinds (selectable from config / CLI)
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ most eps costs a second eps, so the end-to-end guarantee tested here is
 the 2 eps one. Losses are linear (l_i(theta) = c_i . theta) so the optimal
 value has an exact vertex-enumeration oracle.
 
-The mechanism density is sampled through ``pipeline.plan_sampling``, with
+``mechanism_density`` is sampled through ``pipeline.plan_sampling``, with
 the input checks, chunk streams and step-size tuner stream of ``sample``,
 and ``private_erm_batch`` returns that run's rows as an ``ErmResult``: its
 points are the thetas, its fallback labels derive from tau, and its plan
@@ -20,7 +20,6 @@ the polytope's inner-ball center instead of a data-dependent point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import ceil, log
@@ -28,7 +27,7 @@ from math import ceil, log
 import numpy as np
 
 from . import dikin, pipeline
-from .density import LogDensity, exp_mechanism_density
+from .density import LogDensity
 from .errors import ConfigError
 from .geometry import Polytope, check_end, check_rows, data_rows, parse_polytope, row_floats
 
@@ -36,7 +35,7 @@ __all__ = [
     "ErmInstance",
     "ErmResult",
     "load_erm_instance",
-    "total_loss_density",
+    "mechanism_density",
     "halting_threshold",
     "private_erm_batch",
     "enumerate_vertices",
@@ -116,15 +115,17 @@ def load_erm_instance(path) -> ErmInstance:
     return ErmInstance(polytope=P, losses=losses, L=L, eps_dp=eps_dp)
 
 
-def total_loss_density(inst: ErmInstance) -> LogDensity:
-    """Sum of the losses as one density exponent.
+def mechanism_density(inst: ErmInstance) -> LogDensity:
+    """The mechanism's exponent theta -> s * sum_i c_i . theta, s = eps_dp / (2 n L R).
 
-    The declared Lipschitz constant is n * L (the privacy-relevant bound,
-    which holds for any dataset with per-loss bound L), not the possibly
-    smaller norm of the summed coefficient vector.
+    n L bounds the sum's sensitivity for every dataset with per-loss bound L
+    (the summed coefficients' own norm can be smaller), so the declared
+    Lipschitz constant s n L is eps_dp / (2 R) whatever the data.
     """
     csum = inst.losses.sum(axis=0)
-    return LogDensity(lambda X: X @ csum, L=inst.n * inst.L)
+    L_total = float(inst.n * inst.L)
+    s = inst.eps_dp / (2.0 * L_total * inst.polytope.R)
+    return LogDensity(lambda X: s * (X @ csum), s * L_total, name="mechanism")
 
 
 def halting_threshold(inst: ErmInstance) -> int:
@@ -168,12 +169,8 @@ def private_erm_batch(
     the mechanism's scaled density is so flat that the full walk length is
     cheap, and privacy arguments want the real one.
     """
-    P = inst.polytope
-    g = exp_mechanism_density(total_loss_density(inst), inst.eps_dp, inst.n * inst.L, P.R)
-    # the scaling must collapse to eps / (2R) no matter the dataset; anything
-    # else means the sensitivity bookkeeping above went wrong
-    assert math.isclose(g.L, inst.eps_dp / (2.0 * P.R), rel_tol=1e-12)
-    plan = pipeline.plan_sampling(P, g, inst.eps_dp, n_runs, seed, c_mix, eta)
+    g = mechanism_density(inst)
+    plan = pipeline.plan_sampling(inst.polytope, g, inst.eps_dp, n_runs, seed, c_mix, eta)
     t_halt = halting_threshold(inst)
     capped = t_halt < plan.params.tau_max
     if capped:

@@ -56,7 +56,7 @@ class Polytope:
         raises ContractViolation when the promise fails.
     """
 
-    __slots__ = ("A", "b", "center", "r", "R", "row_norms", "AT", "b_rows")
+    __slots__ = ("A", "b", "center", "r", "R", "AT", "b_rows")
 
     def __init__(self, A, b, center, r, R):
         A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -78,14 +78,23 @@ class Polytope:
         if not (R >= r and np.isfinite(R)):
             raise ConfigError("outer radius R must satisfy R >= r")
 
-        row_norms = np.linalg.norm(A, axis=1)
+        # np.linalg.norm squares the entries, which overflows above about
+        # 1e154; a row whose norm comes out inf is taken again as
+        # s * norm(row / s), with s its largest |entry|
+        with np.errstate(over="ignore"):
+            row_norms = np.linalg.norm(A, axis=1)
+            for i in np.flatnonzero(np.isinf(row_norms)):
+                s = np.abs(A[i]).max()
+                row_norms[i] = s * np.linalg.norm(A[i] / s)
+                if np.isinf(row_norms[i]):
+                    raise ConfigError(f"the norm of facet {i}'s normal overflows")
         if np.any(row_norms < ROW_NORM_FLOOR):
             raise ConfigError("degenerate constraint row (norm below 1e-12)")
 
         # Certify the inner ball: distance from center to every facet plane
         # must be at least r. Exact comparison, no tolerance; callers that
         # compute r from the same distances get equality bit for bit. A nan
-        # slack, from a product or norm that overflows, certifies nothing.
+        # slack, from products that overflow to inf - inf, certifies nothing.
         slacks = (b - A @ center) / row_norms
         if not np.all(slacks >= r):
             worst = int(np.argmin(slacks))
@@ -99,7 +108,6 @@ class Polytope:
         self.center = center
         self.r = r
         self.R = R
-        self.row_norms = row_norms
         # for contains_many: a C-contiguous A^T, on which a many-row product
         # runs about 4x faster than through the transposed view, and b over
         # enough rows that comparing against it is one long flat loop
@@ -305,11 +313,11 @@ def load_polytope(path) -> Polytope:
     return poly
 
 
-def box(lo, hi, r: float | None = None, R: float | None = None) -> Polytope:
+def box(lo, hi) -> Polytope:
     """Axis-aligned box as a polytope, mostly for tests and demos.
 
-    The inscribed ball radius defaults to half the smallest side, the outer
-    radius to the circumradius (half-diagonal), both about the box center.
+    The inscribed ball radius is half the smallest side, the outer radius
+    the circumradius (half-diagonal), both about the box center.
     """
     lo = np.asarray(lo, dtype=float).ravel()
     hi = np.asarray(hi, dtype=float).ravel()
@@ -320,8 +328,4 @@ def box(lo, hi, r: float | None = None, R: float | None = None) -> Polytope:
     b = np.concatenate([hi, -lo])
     center = (lo + hi) / 2.0
     half = (hi - lo) / 2.0
-    if r is None:
-        r = float(np.min(half))
-    if R is None:
-        R = float(np.linalg.norm(half))
-    return Polytope(A, b, center, r, R)
+    return Polytope(A, b, center, float(np.min(half)), float(np.linalg.norm(half)))

@@ -147,10 +147,10 @@ class ExactSampler:
         """n exact draws from pi, shape (n, d)."""
         out = np.empty((n, self.P.d))
         got = 0
-        rate = max(self.pilot_acceptance, ACCEPTANCE_GUARD)
         while got < n:
             want = n - got
-            k = min(DRAW_CHUNK, int(want / rate * 1.2) + 64)
+            # construction refused a pilot rate below ACCEPTANCE_GUARD
+            k = min(DRAW_CHUNK, int(want / self.pilot_acceptance * 1.2) + 64)
             X = self._propose(rng, k)
             accept = rng.random(k) < self._accept_probs(X)
             taken = X.compress(accept, axis=0)[:want]
@@ -174,8 +174,8 @@ class CellGrid:
 
     lo: np.ndarray
     hi: np.ndarray
-    nbins: np.ndarray  # per-axis cell counts, int
-    masses: np.ndarray  # (prod(nbins),)
+    bins: int  # cells per axis
+    masses: np.ndarray  # (bins**d,)
 
     @property
     def d(self) -> int:
@@ -183,7 +183,7 @@ class CellGrid:
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod(self.nbins))
+        return self.bins**self.d
 
     def min_n(self) -> int:
         """The smallest n at which the heaviest cell's expected count
@@ -211,13 +211,13 @@ class CellGrid:
         if np.any(X < self.lo - tol) or np.any(X > self.hi + tol):
             raise ValueError("sample outside the grid box")
         frac = (X - self.lo) / span
-        idx = np.clip((frac * self.nbins).astype(np.int64), 0, self.nbins - 1)
-        return np.ravel_multi_index(tuple(idx.T), tuple(self.nbins))
+        idx = np.clip((frac * self.bins).astype(np.int64), 0, self.bins - 1)
+        return np.ravel_multi_index(tuple(idx.T), (self.bins,) * self.d)
 
     def cell_centers(self) -> np.ndarray:
         """(n_cells, d) array of cell midpoints, C order."""
         axes = [
-            self.lo[j] + (np.arange(self.nbins[j]) + 0.5) * (self.hi[j] - self.lo[j]) / self.nbins[j]
+            self.lo[j] + (np.arange(self.bins) + 0.5) * (self.hi[j] - self.lo[j]) / self.bins
             for j in range(self.d)
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -272,8 +272,7 @@ def cell_masses(P: Polytope, f: LogDensity, bins: int) -> CellGrid:
     total_mass = flat.sum()
     if total_mass <= 0:
         raise ConfigError("grid does not intersect the polytope (all cell masses zero)")
-    nbins = np.full(d, bins, dtype=np.int64)
-    grid = CellGrid(lo=lo, hi=hi, nbins=nbins, masses=flat / total_mass)
+    grid = CellGrid(lo=lo, hi=hi, bins=bins, masses=flat / total_mass)
     assert abs(grid.masses.sum() - 1.0) < 1e-9
     return grid
 
@@ -289,18 +288,16 @@ class SupLogRatio:
     """Binned sup-log-ratio statistic with per-cell slack.
 
     stat is the max over included cells of |log(freq/mass)| (inf when an
-    included cell got no samples); cells/mass/count/log_ratio/sigma are
-    aligned arrays over the included cells; excluded lists (index, mass,
+    included cell got no samples); cells/mass/log_ratio/sigma are aligned
+    arrays over the included cells; excluded lists (index, mass,
     count) for cells whose expected count fell below the inclusion
     threshold. sigma is the delta-method deviation of log(freq/mass),
     sqrt((1-p)/(n p)).
     """
 
     stat: float
-    n: int
     cells: np.ndarray
     mass: np.ndarray
-    count: np.ndarray
     log_ratio: np.ndarray
     sigma: np.ndarray
     excluded: list = field(default_factory=list)
@@ -342,10 +339,8 @@ def sup_log_ratio(samples: np.ndarray, grid: CellGrid) -> SupLogRatio:
     stat = float(np.max(np.abs(log_ratio)))
     return SupLogRatio(
         stat=stat,
-        n=n,
         cells=cells,
         mass=mass,
-        count=count,
         log_ratio=log_ratio,
         sigma=sigma,
         excluded=excluded,

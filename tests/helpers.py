@@ -668,15 +668,14 @@ def reference_cell_masses(P: Polytope, f: LogDensity, bins: int, subnodes: int =
     is ``oracle.SUBNODES`` there)."""
     lo, hi = oracle.box_bounds(P)
     d = P.d
-    nbins = np.full(d, bins, dtype=np.int64)
     axis_pts = []
     for j in range(d):
-        total = int(nbins[j]) * subnodes
+        total = bins * subnodes
         axis_pts.append(lo[j] + (np.arange(total) + 0.5) * (hi[j] - lo[j]) / total)
 
-    masses = np.zeros(tuple(int(k) for k in nbins))
+    masses = np.zeros((bins,) * d)
     shift = f(P.center)
-    for i0 in range(int(nbins[0])):
+    for i0 in range(bins):
         block_axes = [axis_pts[0][i0 * subnodes : (i0 + 1) * subnodes]] + axis_pts[1:]
         mesh = np.meshgrid(*block_axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -685,12 +684,12 @@ def reference_cell_masses(P: Polytope, f: LogDensity, bins: int, subnodes: int =
         if np.any(member):
             vals = f.eval_many(pts[member])
             weights[member] = np.exp(-(vals - shift))
-        shape = [subnodes] + [v for j in range(1, d) for v in (int(nbins[j]), subnodes)]
+        shape = [subnodes] + [bins, subnodes] * (d - 1)
         folded = weights.reshape(shape)
         masses[i0] = folded.sum(axis=tuple(i for i in range(len(shape)) if i % 2 == 0))
 
     flat = masses.ravel()
-    return oracle.CellGrid(lo=lo, hi=hi, nbins=nbins, masses=flat / flat.sum())
+    return oracle.CellGrid(lo=lo, hi=hi, bins=bins, masses=flat / flat.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -772,13 +771,13 @@ def margin(P: Polytope, theta) -> float:
         in the s-interior of K iff the result is >= s.
     """
     theta = _check_dim(P, np.ravel(np.asarray(theta, dtype=float)))
-    return float(np.min((P.b - P.A @ theta) / P.row_norms))
+    return float(np.min((P.b - P.A @ theta) / np.linalg.norm(P.A, axis=1)))
 
 
 def margin_many(P: Polytope, X) -> np.ndarray:
     """Vectorized ``margin`` for an (n, d) array of points."""
     X = _check_dim(P, np.atleast_2d(np.asarray(X, dtype=float)))
-    return np.min((P.b - X @ P.A.T) / P.row_norms, axis=1)
+    return np.min((P.b - X @ P.A.T) / np.linalg.norm(P.A, axis=1), axis=1)
 
 
 

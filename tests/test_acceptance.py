@@ -240,9 +240,7 @@ def test_criterion_09_dp_distributional_surrogate():
     ta = dp.private_erm_batch(a, seed=2109, n_runs=n).points
     tb = dp.private_erm_batch(b, seed=2110, n_runs=n).points
 
-    grid = oracle.CellGrid(
-        lo=np.array([-1.0]), hi=np.array([1.0]), nbins=np.array([10]), masses=np.full(10, 0.1)
-    )
+    grid = oracle.CellGrid(lo=np.array([-1.0]), hi=np.array([1.0]), bins=10, masses=np.full(10, 0.1))
     ca = oracle.histogram_counts(ta, grid)
     cb = oracle.histogram_counts(tb, grid)
     assert ca.min() > 0 and cb.min() > 0

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from polysamp import cli, dikin, oracle
+from polysamp import cli, dikin, oracle, pipeline
 from polysamp.density import parse_density, uniform
 from polysamp.errors import ContractViolation
 from polysamp.geometry import contains_many, load_polytope
@@ -206,6 +206,39 @@ def test_sample_walk_worker_count_invariance(square_file, tmp_path, capsys, pin_
         square_file, tmp_path, capsys, pin_cpus, "--oracle", "dikin", "--cmix", "0.01"
     )
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "oracle_args", (["--oracle", "exact"], ["--cmix", "0.01"]), ids=("exact", "walk")
+)
+def test_sample_on_a_shifted_square_is_the_centred_run_translated(
+    oracle_args, square_file, tmp_path, capsys
+):
+    # the square moved to [2, 4] x [-3, -1] normalizes to the centred square
+    # bit for bit, so with a uniform density its rows are the centred run's
+    # points plus (3, -2) (geometry.normalize, density.shifted and
+    # SamplingPlan.translation), with the same tau, fallback and oracle_calls
+    moved_file = tmp_path / "moved.txt"
+    moved_file.write_text("2 4 1.0 2.0\n1 0 4\n-1 0 -2\n0 1 -1\n0 -1 3\n3 -2\n")
+    runs = []
+    for polytope in (square_file, moved_file):
+        argv = ["sample", "--polytope", str(polytope), "--density", "uniform", "--eps", "0.5"]
+        code, out, _ = run_cli([*argv, *oracle_args, "--n", "9000", "--seed", "3"], capsys)
+        assert code == 0
+        runs.append(np.array(parse_csv(out)[2], dtype=float))
+    centred, moved = runs
+    assert len(moved) == 9000 > CHUNK
+    assert np.array_equal(moved[:, 1:3], centred[:, 1:3] + [3.0, -2.0])
+    assert np.array_equal(moved[:, [0, 3, 4, 5]], centred[:, [0, 3, 4, 5]])
+
+
+def test_sample_help_is_built_from_the_chunk_constants(monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "CHUNK", 1234)
+    monkeypatch.setattr(pipeline, "MAX_WORKERS", 5)
+    with pytest.raises(SystemExit):
+        cli.main(["sample", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "Chunks of 1234 rows" in text and "at most 5;" in text
 
 
 # sha256 of `sample --oracle exact --n 20000 --seed 3` on the square, taken
@@ -1062,6 +1095,30 @@ def test_tuning_that_never_reaches_the_band_is_a_config_error(square_file, tmp_p
     assert sorted(tmp_path.iterdir()) == [square_file]
 
 
+def test_facet_rows_near_the_float_limit(seg_file, tmp_path):
+    # the segment with its facet x <= 1 written as 1e308 x <= 1e308: the
+    # row's squares overflow, its norm does not
+    def polysamp(*args):
+        argv = [sys.executable, "-W", "error", "-m", "polysamp", *args]
+        return subprocess.run(argv, capture_output=True, text=True)
+
+    wide = tmp_path / "wide.txt"
+    wide.write_text(seg_file.read_text().replace("\n1 1\n", "\n1e308 1e308\n"))
+    plain, got = (polysamp("params", "--polytope", str(p), "--eps", "0.5") for p in (seg_file, wide))
+    assert (got.returncode, got.stderr) == (0, "")
+    assert parse_kv(got.stdout)["params_hash"] == parse_kv(plain.stdout)["params_hash"]
+    run = polysamp("sample", "--polytope", str(wide), "--eps", "0.5", "--oracle", "exact", "--n", "1000")
+    assert (run.returncode, run.stderr) == (0, "")
+    # a row whose norm is itself beyond the float range is refused by name
+    huge = tmp_path / "huge.txt"
+    huge.write_text("2 3 0.1 10\n1.5e308 1.5e308 1\n-1 0 1\n0 -1 1\n-0.5 -0.5\n")
+    bad = polysamp("params", "--polytope", str(huge), "--eps", "0.5")
+    assert bad.returncode == 2
+    assert bad.stderr == (
+        "config error: invalid polytope ending at line 5: the norm of facet 0's normal overflows\n"
+    )
+
+
 def test_overflowing_density_prints_only_the_config_error(square_file):
     # a norm that overflows is refused as an infinite L, with no numpy warning
     proc = subprocess.run(
@@ -1136,6 +1193,12 @@ def test_capped_erm_pinned_bytes(tmp_path, capsys):
     assert code == 0
     assert out.count(",center,") == 2
     assert hashlib.sha256(out.encode()).hexdigest() == CAPPED_ERM_SHA256
+    # off centre, on the segment [2, 4]: the center rows are its center, 3.0
+    inst.write_text("1 2 0.1 1.0\n1 4\n-1 -2\n3\n5\n1\n1\n1\n1\n1\n1 0.5\n")
+    code, out, _ = run_cli(["erm", "--polytope", str(inst), "--seed", "3", "--n", "8200"], capsys)
+    assert code == 0
+    center = [row for row in parse_csv(out)[2] if row[3] == "center"]
+    assert center and all(row[1] == "3.0" for row in center)
 
 
 @pytest.mark.parametrize(
@@ -1284,12 +1347,13 @@ def test_write_rows_matches_reference_loops(d, n):
 @pytest.mark.parametrize("n", (1, 300))
 @pytest.mark.parametrize("dtype", (np.int64, np.int32, np.int8, np.uint8, np.uint16, np.uint64))
 def test_write_rows_int_and_special_values_match_reference(dtype, n):
-    # ints below, at and above 1024, negative ints, nan/inf/-0.0
-    # coordinates and erm's labels, in blocks of one row too
+    # ints below, at and above 1024 (every int column written is
+    # non-negative), nan/inf/-0.0 coordinates and erm's labels, in blocks of
+    # one row too
     info = np.iinfo(dtype)
     table = 1024
-    pool = (0, 1, table - 1, table, table + 1, info.max, info.min, -1, -table)
-    pool = np.array([v for v in pool if info.min <= v <= info.max], dtype=dtype)
+    pool = (0, 1, table - 1, table, table + 1, info.max)
+    pool = np.array([v for v in pool if v <= info.max], dtype=dtype)
     rng = np.random.default_rng(n)
     mixed = pool[rng.integers(0, pool.size, n)]
     small = rng.integers(0, min(table, info.max + 1), n).astype(dtype)
@@ -1359,11 +1423,13 @@ def test_float_fields_at_the_exact_paths_edges():
 
 @pytest.mark.parametrize("dtype", (np.int64, np.uint64, np.int32, np.uint32, np.int8, np.uint8))
 def test_int_fields_cover_their_dtype(dtype):
+    # the non-negative range: every int column written is an index, a count
+    # or a bool
     info = np.iinfo(dtype)
-    pool = [info.min, info.min + 1, info.max - 1, info.max, 0, 1, -1, 9, 10, 9999, 10000, 10001]
-    pool += [10**j + d for j in range(2, 20) for d in (-1, 0)] + [-(10**j) for j in range(2, 19)]
-    values = np.array([v for v in pool if info.min <= v <= info.max], dtype=dtype)
-    for col in (values, values[values >= 0], values[:1], values[-1:]):
+    pool = [info.max - 1, info.max, 0, 1, 9, 10, 9999, 10000, 10001]
+    pool += [10**j + d for j in range(2, 20) for d in (-1, 0)]
+    values = np.array([v for v in pool if v <= info.max], dtype=dtype)
+    for col in (values, values[:1], values[-1:], values[values < 10**4]):
         assert _csv(col) == "".join(f"{v}\n" for v in col.tolist())
     flags = np.array([True, False, True])
     want = "".join(f"{int(b)},{v}\n" for b, v in zip(flags, values[:3].tolist()))

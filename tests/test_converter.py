@@ -16,7 +16,7 @@ from polysamp.converter import (
     convert_batch,
 )
 from polysamp.errors import ContractViolation
-from polysamp.geometry import box, contains_many
+from polysamp.geometry import contains_many
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def test_oracle_point_outside_polytope_is_contract_violation(seg):
 def test_oracle_point_beyond_declared_radius_is_contract_violation():
     # a square whose declared circumradius understates the true one: a draw
     # near the corner is inside K but outside B(center, R)
-    P = box([-1.0, -1.0], [1.0, 1.0], R=1.1)
+    P = helpers.box_polytope(1.0, 2, R=1.1)
     params = compute_params(0.5, 0.0, 1.0, 1.1, 2)
     with pytest.raises(ContractViolation, match="radius"):
         convert_batch(P, _repeat([0.99, 0.99]), params, np.random.default_rng(2), n=4)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from helpers import loss_sum
 from polysamp.density import (
     LogDensity,
-    exp_mechanism_density,
     linear,
     norm1,
     parse_density,
@@ -70,24 +69,6 @@ def test_shifted_zero_is_identity_path():
     g = shifted(f, [0.0, 0.0])
     X = np.array([[0.25, -0.75]])
     np.testing.assert_array_equal(g.eval_many(X), f.eval_many(X))
-
-
-def test_exp_mechanism_scale_identity():
-    # returned constant is exactly f.L * eps / (2 L_total R)
-    f = linear([3.0])
-    g = exp_mechanism_density(f, eps=0.5, L_total=3.0, R=2.0)
-    assert g.L == f.L * (0.5 / (2 * 3.0 * 2.0))
-    assert g.L == pytest.approx(0.5 / (2 * 2.0))  # = eps/(2R) when L_total = f.L
-    assert g([1.0]) == pytest.approx((0.5 / 12.0) * 3.0)
-
-
-def test_exp_mechanism_validation():
-    f = linear([1.0])
-    for bad in (dict(eps=0.0), dict(L_total=0.0), dict(R=0.0), dict(eps=-1.0)):
-        kwargs = dict(eps=0.5, L_total=1.0, R=1.0)
-        kwargs.update(bad)
-        with pytest.raises(ConfigError):
-            exp_mechanism_density(f, **kwargs)
 
 
 def test_parse_density_kinds():

@@ -501,7 +501,7 @@ def test_tuned_eta_pinned_on_the_benchmark_erm_instance(seed, acc, monkeypatch):
 
 def test_tuned_eta_pinned_on_the_readme_examples(monkeypatch):
     # erm on the README's instance file at seed 11, and the Python API run
-    inst = dp.ErmInstance(box([-1.0], [1.0], r=1.0, R=1.0), np.ones((5, 1)), L=1.0, eps_dp=0.5)
+    inst = dp.ErmInstance(helpers.segment(R=1.0), np.ones((5, 1)), L=1.0, eps_dp=0.5)
     got = _tuned(monkeypatch, lambda: dp.private_erm_batch(inst, 11, 3))
     assert got == (1.6, 0.533660888671875, 2)
     P, f = box([-1.0, -1.0], [1.0, 1.0]), linear(np.array([1.0, 0.0]))

@@ -15,8 +15,8 @@ from polysamp.dp import (
     enumerate_vertices,
     halting_threshold,
     load_erm_instance,
+    mechanism_density,
     private_erm_batch,
-    total_loss_density,
 )
 from polysamp.errors import ConfigError
 from polysamp.geometry import box, contains_many
@@ -111,19 +111,32 @@ def test_load_erm_instance_error_lines(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_total_loss_density_uses_privacy_bound():
-    # two opposing losses sum to zero, but the declared constant stays n * L
-    inst = ErmInstance(box([-1.0], [1.0]), np.array([[1.0], [-1.0]]), L=1.0, eps_dp=0.5)
-    f = total_loss_density(inst)
-    assert f.L == 2.0
-    assert f(np.array([0.7])) == pytest.approx(0.0)
+def test_mechanism_density_constant_is_eps_over_2R():
+    # the declared constant is s * n L = eps_dp / (2R) whatever the data:
+    # also for opposing losses, whose sum is zero
+    rng = np.random.default_rng(21)
+    for L, R in ((1.0, 1.0), (0.3, 2.5), (4.0, 0.7), (1e-3, 1e3)):
+        K = helpers.box_polytope(R / math.sqrt(2.0), 2, R=R)
+        for n in (1, 2, 7, 1000):
+            losses = rng.uniform(-1.0, 1.0, (n, 2))
+            losses *= L / np.linalg.norm(losses, axis=1, keepdims=True)
+            opposing = np.resize([[L, 0.0], [-L, 0.0]], (2 * n, 2))
+            for C in (losses, opposing):
+                g = mechanism_density(ErmInstance(K, C, L=L, eps_dp=0.5))
+                assert math.isclose(g.L, 0.5 / (2.0 * R), rel_tol=1e-12), (L, R, n)
+            assert g(np.array([0.3, -0.2])) == 0.0
 
 
-def test_total_loss_density_values():
+def test_mechanism_density_values():
+    # the unit losses of small_instance: s = 0.5 / (2 * 5 * 1) = 0.05, and
+    # f(theta) = s * 5 theta, in that operation order
     inst = small_instance()
-    f = total_loss_density(inst)
-    assert f.L == 5.0
-    assert f(np.array([0.2])) == pytest.approx(1.0)
+    f = mechanism_density(inst)
+    s = 0.5 / (2.0 * 5.0 * 1.0)
+    assert f.L == s * 5.0
+    assert f(np.array([0.2])) == s * (0.2 * 5.0)
+    X = np.array([[-1.0], [0.3], [1.0]])
+    np.testing.assert_array_equal(f.eval_many(X), s * (X @ inst.losses.sum(axis=0)))
 
 
 @pytest.mark.parametrize(
@@ -216,7 +229,7 @@ def test_private_erm_capped_center_fallback():
     # an under-declared inner ball inflates tau_max past t_halt, so the
     # runtime cap engages and failed runs return the data-independent center
     inst = ErmInstance(
-        polytope=box([-1.0], [1.0], r=0.1),
+        polytope=helpers.segment(r=0.1, R=1.0),
         losses=unit_losses(5),
         L=1.0,
         eps_dp=0.5,
@@ -240,7 +253,7 @@ def test_private_erm_zero_losses_is_near_uniform():
         eps_dp=0.5,
     )
     batch = private_erm_batch(inst, seed=15, n_runs=20000, eta=1.5)
-    grid = oracle.cell_masses(inst.polytope, total_loss_density(inst), 10)
+    grid = oracle.cell_masses(inst.polytope, mechanism_density(inst), 10)
     res = oracle.sup_log_ratio(batch.points, grid)
     assert res.passes(extra=inst.eps_dp, sigmas=3.0)
 
@@ -260,7 +273,7 @@ def test_neighboring_instances_log_ratio_smoke():
     tb = private_erm_batch(b, seed=17, n_runs=n, eta=1.5).points
 
     lo, hi = np.array([-1.0]), np.array([1.0])
-    grid = oracle.CellGrid(lo=lo, hi=hi, nbins=np.array([5]), masses=np.full(5, 0.2))
+    grid = oracle.CellGrid(lo=lo, hi=hi, bins=5, masses=np.full(5, 0.2))
     ca = oracle.histogram_counts(ta, grid)
     cb = oracle.histogram_counts(tb, grid)
     assert ca.min() > 0 and cb.min() > 0

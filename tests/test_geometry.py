@@ -55,8 +55,8 @@ def test_polytope_validation_radii(sq):
     # non-finite entries
     with pytest.raises(ConfigError):
         Polytope(A, np.array([1.0, np.inf, 1.0, 1.0]), np.zeros(2), 0.5, 2.0)
-    # a norm and a product that overflow make the slack inf / inf = nan,
-    # though the center breaks the first row by far
+    # a product that overflows (to inf, or to nan where two meet as
+    # inf - inf) certifies no slack: the center breaks the first row by far
     with pytest.raises(ConfigError, match="inner ball"), np.errstate(over="ignore", invalid="ignore"):
         Polytope([[1e308], [-1.0]], [1.0, 1.0], [10.0], 0.5, 1.0)
 

@@ -203,7 +203,7 @@ def test_cell_masses_same_bits_as_the_per_cell_loop(block_points, monkeypatch):
                 got = cell_masses(P, f, bins)
                 assert np.array_equal(got.masses, want.masses), (P.d, f.name, bins)
                 assert np.array_equal(got.lo, want.lo) and np.array_equal(got.hi, want.hi)
-                assert np.array_equal(got.nbins, want.nbins)
+                assert got.bins == want.bins
 
 
 def test_cell_masses_membership_masking():
