@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import loss_sum
+from helpers import loss_sum, segment
 from polysamp.density import (
     LogDensity,
     linear,
@@ -14,6 +14,7 @@ from polysamp.density import (
     shifted,
     uniform,
 )
+from polysamp.dp import ErmInstance, mechanism_density
 from polysamp.errors import ConfigError
 
 
@@ -69,6 +70,16 @@ def test_shifted_zero_is_identity_path():
     g = shifted(f, [0.0, 0.0])
     X = np.array([[0.25, -0.75]])
     np.testing.assert_array_equal(g.eval_many(X), f.eval_many(X))
+
+
+def test_exp_mechanism_scale_identity():
+    # one loss of norm 3 = L on a segment declared with R = 2: the returned
+    # constant is exactly s * n L, s = eps / (2 n L R), which is eps / (2R)
+    inst = ErmInstance(segment(r=1.0, R=2.0), np.array([[3.0]]), L=3.0, eps_dp=0.5)
+    g = mechanism_density(inst)
+    assert g.L == (0.5 / (2.0 * 3.0 * 2.0)) * 3.0
+    assert g.L == pytest.approx(0.5 / (2 * 2.0))
+    assert g(np.array([1.0])) == pytest.approx((0.5 / 12.0) * 3.0)
 
 
 def test_parse_density_kinds():

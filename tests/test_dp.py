@@ -127,8 +127,8 @@ def test_mechanism_density_constant_is_eps_over_2R():
             assert g(np.array([0.3, -0.2])) == 0.0
 
 
-def test_mechanism_density_values():
-    # the unit losses of small_instance: s = 0.5 / (2 * 5 * 1) = 0.05, and
+def test_total_loss_density_values():
+    # mechanism_density on the unit losses of small_instance: s = 0.5 / (2 * 5 * 1) = 0.05, and
     # f(theta) = s * 5 theta, in that operation order
     inst = small_instance()
     f = mechanism_density(inst)
