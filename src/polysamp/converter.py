@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ConfigError, ContractViolation
 from .geometry import Polytope, check_outer_radius, contains_many, sample_unit_ball_many
 
 __all__ = [
@@ -85,7 +85,8 @@ def compute_params(eps: float, L: float, r: float, R: float, d: int) -> Converte
     The equalities make tau_max as small, delta as large, and the TV target
     as loose as the guarantee allows, which minimizes downstream work.
     A ceiling turns the real-valued tau_max expression into a loop count
-    (and can only help, the constraint is one-sided).
+    (and can only help, the constraint is one-sided). A schedule that the
+    float range cannot hold is a ConfigError naming the flag to change.
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
@@ -96,9 +97,17 @@ def compute_params(eps: float, L: float, r: float, R: float, d: int) -> Converte
     if d < 1:
         raise ValueError("dimension must be >= 1")
 
-    tau_max = math.ceil(5.0 * d * math.log(R / r) + 5.0 * L * R + eps)
+    at = f"in the schedule at eps = {eps!r}, L R = {L * R:g}, R/r = {R / r:g}"
+    tau_raw = 5.0 * d * math.log(R / r) + 5.0 * L * R + eps
+    if not tau_raw < math.inf:
+        raise ConfigError(f"tau_max overflows {at}; lower L (--density) or R/r (--polytope)")
+    tau_max = math.ceil(tau_raw)
     delta = eps / (512.0 * tau_max * max(float(d), L * R))
+    if not delta * r > 0:
+        raise ConfigError(f"delta r underflows to 0 {at}; raise --eps or lower L (--density)")
     delta_log = math.log(eps / 64.0) - d * math.log(R / (delta * r)) - L * R
+    if not math.isfinite(delta_log):
+        raise ConfigError(f"R / (delta r) overflows {at}; raise --eps or lower R/r (--polytope)")
     return ConverterParams(eps=eps, delta=delta, tau_max=tau_max, delta_log=delta_log)
 
 

@@ -108,7 +108,10 @@ def mixing_steps(P: Polytope, f: LogDensity, delta_log: float, c_mix: float) -> 
     L, R, r = f.L, P.R, P.r
     log_w = d * math.log(R / r) + R * L
     poly = m * m * d**3 + m * m * d * L * L * R * R
-    return max(1, math.ceil(c_mix * poly * (log_w - delta_log)))
+    steps = c_mix * poly * (log_w - delta_log)
+    if not steps < math.inf:
+        raise ConfigError(f"T overflows at c_mix = {c_mix!r}, L = {L:g}; lower --cmix or --density")
+    return max(1, math.ceil(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +331,12 @@ def run_chains_batch(
     X = np.array(X0, dtype=float, copy=True)
     if X.ndim != 2 or X.shape[1] != P.d:
         raise ValueError(f"X0 must be (n, {P.d})")
+    wide = np.flatnonzero(np.abs(P.A).max(axis=1) > math.sqrt(np.finfo(float).max))
+    if wide.size:
+        raise ConfigError(
+            f"facet {wide[0]}'s normal has an entry above 1.34e154, whose square overflows the "
+            "walk's barrier Hessian; scale the row and its b down, or use --oracle exact"
+        )
     S = P.b - X @ P.A.T
     if np.any(S <= 0):
         raise ValueError("all chains must start strictly inside the polytope")
@@ -444,12 +453,10 @@ class _Walk:
         return n_acc
 
 
-# eta tuning: the target acceptance band; the first eta and the grid
-# TUNE_ETA_MIN * 2**j it descends; each pilot's chains and steps; the most
-# pilots before giving up
+# eta tuning: the target acceptance band; the first eta; each pilot's
+# chains and steps; the most pilots before giving up
 TUNE_BAND = (0.3, 0.7)
 TUNE_ETA0 = 0.8
-TUNE_ETA_MIN = 0.1
 PILOT_CHAINS = 512
 PILOT_STEPS = 64
 PILOT_ROUNDS = 24
@@ -458,61 +465,42 @@ PILOT_ROUNDS = 24
 def search_eta(pilot: Callable[[float], float]) -> tuple[float, float]:
     """The first eta whose pilot(eta) acceptance is in ``TUNE_BAND``.
 
-    From TUNE_ETA0 the search halves eta until a pilot reads above the band
-    or eta reaches TUNE_ETA_MIN; the lowest eta read that is not above the
-    band is where a climb from TUNE_ETA_MIN would first stop doubling. From
-    there it doubles eta while a pilot reads above the band, halves it
-    while one reads below, and bisects in log space once the band is
-    bracketed.
+    From TUNE_ETA0 the search doubles eta while a pilot reads above the
+    band, halves it while one reads below, and bisects in log space once
+    the band is bracketed.
 
     Returns (eta, acceptance). Raises ConfigError after PILOT_ROUNDS
     pilots without a reading in band.
     """
     lo, hi = TUNE_BAND
-    small = None  # largest eta seen with acceptance above the band
-    big = None    # smallest eta seen with acceptance below the band
-    eta, acc = TUNE_ETA0, pilot(TUNE_ETA0)
-    pilots = 1
-    while acc <= hi and eta > TUNE_ETA_MIN:
-        below = pilot(eta / 2.0)
-        pilots += 1
-        if below > hi:
-            small = eta / 2.0
-            break
-        eta, acc = eta / 2.0, below
-    while not lo <= acc <= hi:
-        if pilots == PILOT_ROUNDS:
-            raise ConfigError(
-                f"step-scale tuning did not reach acceptance in [{lo}, {hi}] "
-                f"within {PILOT_ROUNDS} pilot rounds (last eta={eta:g}, "
-                f"acceptance {acc:.3f})"
-            )
-        if acc > hi:
-            small = eta if small is None else max(small, eta)
-        else:
-            big = eta if big is None else min(big, eta)
-        if small is not None and big is not None:
-            eta = math.sqrt(small * big)
-        elif acc > hi:
-            eta *= 2.0
-        else:
-            eta /= 2.0
+    small = big = None  # the last etas read above and below the band
+    eta = TUNE_ETA0
+    for _ in range(PILOT_ROUNDS):
         acc = pilot(eta)
-        pilots += 1
-    return eta, acc
+        if lo <= acc <= hi:
+            return eta, acc
+        if acc > hi:
+            small = eta
+        else:
+            big = eta
+        if big is None:
+            eta *= 2.0
+        elif small is None:
+            eta /= 2.0
+        else:
+            eta = math.sqrt(small * big)
+    raise ConfigError(
+        f"step-scale tuning did not reach acceptance in [{lo}, {hi}] within {PILOT_ROUNDS} "
+        f"pilot rounds (last eta={small if acc > hi else big:g}, acceptance {acc:.3f})"
+    )
 
 
 def tune_eta(P: Polytope, f: LogDensity, rng: np.random.Generator) -> tuple[float, float]:
     """Tune the step scale until pilot acceptance lands in ``TUNE_BAND``.
 
     The search (``search_eta``) starts at eta = 0.8, where most instances
-    land: the proposal is affine invariant, so acceptance at a given eta
-    barely depends on the polytope. It first descends the grid 0.1 * 2**j
-    until a pilot reads above the band or eta reaches 0.1, then doubles,
-    halves and bisects as the climb from 0.1 it replaced did. On any
-    monotone decreasing acceptance curve it returns that climb's eta (if the
-    climb needs at most PILOT_ROUNDS - 3 pilots), in 2 pilots where the
-    climb took 4 for eta = 0.8 and 5 for 1.6.
+    land in one pilot: the proposal is affine invariant, so acceptance at a
+    given eta barely depends on the polytope.
 
     Each pilot walks PILOT_CHAINS warm-started chains PILOT_STEPS steps in
     one lockstep call on rng: 32,768 proposals, in 8x fewer steps than 64

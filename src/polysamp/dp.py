@@ -26,7 +26,7 @@ from math import ceil, log
 
 import numpy as np
 
-from . import dikin, pipeline
+from . import dikin, geometry, pipeline
 from .density import LogDensity
 from .errors import ConfigError
 from .geometry import Polytope, check_end, check_rows, data_rows, parse_polytope, row_floats
@@ -70,7 +70,7 @@ class ErmInstance:
             raise ConfigError("loss vectors must be finite")
         if not (self.L > 0 and np.isfinite(self.L)):
             raise ConfigError("per-loss Lipschitz bound L must be positive")
-        norms = np.linalg.norm(self.losses, axis=1)
+        norms = geometry.scaled_row_norms(self.losses)
         if np.any(norms > self.L * (1 + 1e-12)):
             worst = float(norms.max())
             raise ConfigError(f"loss norm {worst:.6g} exceeds the declared bound L={self.L:.6g}")

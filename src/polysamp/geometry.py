@@ -78,16 +78,9 @@ class Polytope:
         if not (R >= r and np.isfinite(R)):
             raise ConfigError("outer radius R must satisfy R >= r")
 
-        # np.linalg.norm squares the entries, which overflows above about
-        # 1e154; a row whose norm comes out inf is taken again as
-        # s * norm(row / s), with s its largest |entry|
-        with np.errstate(over="ignore"):
-            row_norms = np.linalg.norm(A, axis=1)
-            for i in np.flatnonzero(np.isinf(row_norms)):
-                s = np.abs(A[i]).max()
-                row_norms[i] = s * np.linalg.norm(A[i] / s)
-                if np.isinf(row_norms[i]):
-                    raise ConfigError(f"the norm of facet {i}'s normal overflows")
+        row_norms = scaled_row_norms(A)
+        for i in np.flatnonzero(np.isinf(row_norms)):
+            raise ConfigError(f"the norm of facet {i}'s normal overflows")
         if np.any(row_norms < ROW_NORM_FLOOR):
             raise ConfigError("degenerate constraint row (norm below 1e-12)")
 
@@ -124,6 +117,17 @@ class Polytope:
 
     def __repr__(self) -> str:
         return f"Polytope(d={self.d}, m={self.m}, r={self.r:g}, R={self.R:g})"
+
+
+def scaled_row_norms(A: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(A, axis=1), but a row whose squares overflow (entries above
+    about 1e154) is taken as s * norm(row / s), s its largest |entry|."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(A, axis=1)
+        for i in np.flatnonzero(np.isinf(norms)):
+            s = np.abs(A[i]).max()
+            norms[i] = s * np.linalg.norm(A[i] / s)
+    return norms
 
 
 def _check_dim(P: Polytope, theta: np.ndarray) -> np.ndarray:

@@ -1,11 +1,10 @@
-"""Ground-truth machinery for desk-scale verification.
+"""Exact sampling and ground truth, for desk-scale instances.
 
-Nothing here is fast or dimension-robust, and that is the point: these
-routines are independent of the samplers they judge.
+None of it uses the walk, so it can judge the walk's output.
 
 * ``ExactSampler`` draws exactly from pi proportional to exp(-f) on K by
-  rejection from a bounding box, so it doubles as a zero-TV-error oracle
-  for the converter.
+  rejection from a bounding box, with column-wise kernels: the converter's
+  zero-TV-error oracle behind ``--oracle exact``, in runs and in tests.
 * ``cell_masses`` integrates pi over a rectangular cell grid (tensor
   midpoint rule with SUBNODES nodes per cell and axis, membership-masked)
   for d <= 3.

@@ -95,17 +95,6 @@ def exp_interval_cdf(s: float, a: float, b: float, x):
     return (np.exp(-s * a) - np.exp(-s * x)) / (np.exp(-s * a) - np.exp(-s * b))
 
 
-def exp_interval_mean(s: float, a: float, b: float) -> float:
-    """E[theta] under exp(-s theta) on [a, b]."""
-    if s == 0:
-        return 0.5 * (a + b)
-    za = math.exp(-s * a)
-    zb = math.exp(-s * b)
-    # integral of theta e^{-s theta} = ((a + 1/s) za - (b + 1/s) zb) / s
-    num = ((a + 1 / s) * za - (b + 1 / s) * zb) / s
-    return num / ((za - zb) / s)
-
-
 def mech_mean_symmetric(k: float) -> float:
     """E[theta] for exp(-k theta) on [-1, 1]: 1/k - coth(k)."""
     if k == 0:
@@ -155,6 +144,74 @@ def converter_law_1d(s: float, eps: float, mu_cdf, stretch: bool = True, R: floa
     nu = q(z) * (1.0 - miss) / p + miss / 2.0
     pi = np.full(z.shape, 0.5) if s == 0 else s * np.exp(-s * z) / (math.exp(s) - math.exp(-s))
     return z, np.log(nu / pi)
+
+
+def converter_law_2d(c, half, eps: float, R: float, stretch: bool = True, spot: float = 0.0):
+    """(z, log(nu(z) / pi(z))) for the converter's output law nu on the box
+    K = [-h1, h1] x [-h2, h2] (half = (h1, h2); inscribed radius r = min h
+    about 0, declared outer radius R), with pi proportional to exp(-c . x)
+    and an oracle whose law is mu = (1 - spot) pi + spot delta_0.
+
+    A round draws theta from mu and W = theta + rho xi, rho = delta r, xi
+    uniform on the unit disk, so W has density g(w) = mu(B(w, rho)) /
+    (pi rho^2). It halts at Z = W / (1 - delta) (Z = W without the stretch)
+    when Z lies in K and a fair coin says so: at density q(z) = (1 - delta)^2
+    g((1 - delta) z) / 2 on K, with probability p, the integral of q. After
+    tau_max rounds the fallback draws uniformly from the inscribed disk, so
+
+        nu = q (1 - (1 - p)^tau_max) / p + (1 - p)^tau_max 1{|z| <= r} / (pi r^2).
+
+    pi's mass of B(w, rho) clipped to K is one Gauss-Legendre axis over the
+    disk's chords, x1 = w1 + rho sin(phi), with each chord's integral in
+    closed form, split where a chord end crosses a facet; pi's normalizing
+    constant is closed form. p is a tensor Gauss-Legendre sum over panels
+    split where q has kinks; delta_0's share of it is exactly 1/2. z is the
+    tensor product, per axis, of a uniform grid and geometric grids down to
+    1e-12 from both facets: it approaches every facet and every corner.
+    """
+    c, h = np.asarray(c, dtype=float), np.asarray(half, dtype=float)
+    r = float(h.min())
+    params = converter.compute_params(eps, float(np.linalg.norm(c)), r, R, 2)
+    rho = params.delta * r
+    shrink = 1.0 - params.delta if stretch else 1.0
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+
+    def seg(cj, a, b):  # the integral of exp(-cj y) over [a, b], a <= b
+        return b - a if cj == 0 else np.exp(-cj * a) * -np.expm1(-cj * (b - a)) / cj
+
+    Z = seg(c[0], -h[0], h[0]) * seg(c[1], -h[1], h[1])
+
+    def q_pi(z):  # q for mu = pi
+        w1, w2 = (shrink * z.T)[:, :, None, None]  # (points, 1, 1) each
+        lo = np.arcsin(np.clip((-h[0] - w1) / rho, -1.0, 1.0))
+        hi = np.arcsin(np.clip((h[0] - w1) / rho, -1.0, 1.0))
+        k1, k2 = (np.arccos(np.clip(gap / rho, 0.0, 1.0)) for gap in (h[1] - w2, h[1] + w2))
+        edges = np.sort(np.clip(np.concatenate([lo, hi, k1, -k1, k2, -k2], axis=1), lo, hi), axis=1)
+        mid, width = (edges[:, 1:] + edges[:, :-1]) / 2.0, (edges[:, 1:] - edges[:, :-1]) / 2.0
+        phi = mid + width * nodes  # (points, pieces, nodes)
+        arm = rho * np.cos(phi)  # half the chord at x1, and dx1 / dphi
+        x1, top, bot = w1 + rho * np.sin(phi), w2 + arm, w2 - arm
+        mass = arm * np.exp(-c[0] * x1) * seg(c[1], np.maximum(bot, -h[1]), np.minimum(top, h[1]))
+        disk = np.sum(weights * width * mass, axis=(1, 2)) / Z
+        return shrink**2 * disk / (2.0 * math.pi * rho**2)
+
+    def axis(hj):  # Gauss-Legendre nodes and weights on [-hj, hj], split at q's kinks
+        edges = np.unique(np.clip([-hj, -(hj - rho) / shrink, (hj - rho) / shrink, hj], -hj, hj))
+        mid, width = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+        return (mid[:, None] + width[:, None] * nodes).ravel(), (width[:, None] * weights).ravel()
+
+    (x, wx), (y, wy) = axis(h[0]), axis(h[1])
+    panel = np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1).reshape(-1, 2)
+    p = (1.0 - spot) * float(np.sum(np.outer(wx, wy).ravel() * q_pi(panel))) + spot / 2.0
+
+    ends = 10.0 ** np.linspace(-12.0, 0.0, 49)
+    grids = [np.unique(np.r_[np.linspace(-hj, hj, 41), ends - hj, hj - ends]) for hj in h]
+    z = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, 2)
+    at_spot = np.hypot(*(shrink * z.T)) <= rho
+    q = (1.0 - spot) * q_pi(z) + spot * at_spot * shrink**2 / (2.0 * math.pi * rho**2)
+    miss = (1.0 - p) ** params.tau_max
+    nu = q * (1.0 - miss) / p + miss * (np.hypot(*z.T) <= r) / (math.pi * r * r)
+    return z, np.log(nu * Z / np.exp(-z @ c))
 
 
 # ---------------------------------------------------------------------------
@@ -582,10 +639,10 @@ def reference_run_chains_batch(
 
 
 def reference_search_eta(pilot) -> tuple[float, float]:
-    """The search ``dikin.search_eta`` replaced, kept verbatim but for
-    taking pilot(eta) -> acceptance: the climb from eta = 0.1, one pilot
-    per round. On monotone acceptance curves the production search must
-    return its eta."""
+    """The climb from eta = 0.1, one pilot per round, that
+    ``dikin.search_eta`` replaced, kept verbatim but for taking
+    pilot(eta) -> acceptance. On monotone acceptance curves the production
+    search returns its eta or a larger one in band."""
     lo, hi = dikin.TUNE_BAND
     eta = 0.1
     small = None  # largest eta seen with acceptance above the band

@@ -16,6 +16,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -1109,6 +1110,11 @@ def test_facet_rows_near_the_float_limit(seg_file, tmp_path):
     assert parse_kv(got.stdout)["params_hash"] == parse_kv(plain.stdout)["params_hash"]
     run = polysamp("sample", "--polytope", str(wide), "--eps", "0.5", "--oracle", "exact", "--n", "1000")
     assert (run.returncode, run.stderr) == (0, "")
+    # the walk's barrier Hessian squares the row, so the walk refuses it by name
+    walk = polysamp("sample", "--polytope", str(wide), "--eps", "0.5", "--n", "5")
+    assert walk.returncode == 2
+    refusal = r"config error: facet 0's normal has an entry above 1\.34e154, [^\n]*\n"
+    assert re.fullmatch(refusal, walk.stderr)
     # a row whose norm is itself beyond the float range is refused by name
     huge = tmp_path / "huge.txt"
     huge.write_text("2 3 0.1 10\n1.5e308 1.5e308 1\n-1 0 1\n0 -1 1\n-0.5 -0.5\n")
@@ -1129,6 +1135,54 @@ def test_overflowing_density_prints_only_the_config_error(square_file):
     )
     assert proc.returncode == 2
     assert proc.stderr == "config error: Lipschitz constant must be finite and nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["params", "--cmix", "1e308"], "T overflows at c_mix = 1e+308"),
+        (["sample", "--cmix", "1e308"], "T overflows at c_mix = 1e+308"),
+        (["params", "--density", "linear:1e150,0"], "T overflows at c_mix = 0.0001, L = 1e+150"),
+        (["params", "--density", "linear:1e154,0"], "delta r underflows to 0 in the schedule"),
+        (["sample", "--oracle", "exact", "--density", "linear:1e154,0"], "delta r underflows to 0"),
+        (["params", "--eps", "1e-320"], "delta r underflows to 0 in the schedule at eps = 1e-320"),
+        (["params", "--eps", "5e-324"], "delta r underflows to 0 in the schedule at eps = 5e-324"),
+        (["params", "--density", "norm1:1e308"], "tau_max overflows in the schedule"),
+        (["params", "--eps", "1e-10", "--polytope", "far"], "R / (delta r) overflows"),
+    ],
+    ids=["params-cmix", "sample-cmix", "L-1e150", "L-1e154", "exact-L-1e154", "eps-1e-320",
+         "eps-5e-324", "norm1-1e308", "R-over-r-1e300"],
+)
+def test_schedules_beyond_the_float_range_are_config_errors(
+    argv, message, square_file, tmp_path, capsys
+):
+    # a T, tau_max, delta or TV target that a float cannot hold: exit 2 with
+    # one config error line naming the flag to change, and no numpy warning
+    far = tmp_path / "far.txt"  # the segment with R/r = 1e300
+    far.write_text("1 2 1.0 1e300\n1 1\n-1 1\n0\n")
+    command, *rest = [str(far) if a == "far" else a for a in argv]
+    if "--polytope" not in rest:
+        rest += ["--polytope", str(square_file)]
+    if "--eps" not in rest:
+        rest += ["--eps", "0.5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli([command, *rest], capsys)
+    assert (code, out) == (2, "")
+    flag = r"; (raise|lower) [^\n]*--[a-z]+\)?\n"  # the message ends naming a flag
+    assert re.fullmatch(f"config error: {re.escape(message)}[^\n]*{flag}", err)
+
+
+def test_erm_loss_norms_near_the_float_limit(tmp_path, capsys):
+    # a loss of norm 1e200 under the bound L = 1e300: its squares overflow,
+    # its norm does not, so the instance runs with no warning
+    inst = tmp_path / "wide_loss.txt"
+    inst.write_text("1 2 1.0 1.0\n1 1\n-1 1\n0\n1\n1e200\n1e300 0.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["erm", "--polytope", str(inst), "--n", "20"], capsys)
+    assert (code, err) == (0, "")
+    assert len(parse_csv(out)[2]) == 20
 
 
 # ---------------------------------------------------------------------------

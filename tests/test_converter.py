@@ -233,6 +233,44 @@ def test_converter_law_without_the_stretch_breaks(eps, s, R):
     assert np.abs(log_ratio[worst]) > eps
 
 
+# (eps, c, half sides, R) for f = c . x on boxes centred at 0 with r = the
+# smaller half side: the README's square, a steeper density on it, a 4 x 2
+# rectangle and the uniform square with a loose outer radius
+_LAW_CASES_2D = [
+    (0.5, (1.0, 0.0), (1.0, 1.0), 2.0),
+    (0.25, (1.5, -1.0), (1.0, 1.0), 2.0),
+    (0.1, (-0.5, 0.5), (2.0, 1.0), 4.0),
+    (0.5, (0.0, 0.0), (1.0, 1.0), 8.0),
+]
+
+
+@pytest.mark.parametrize("eps, c, half, R", _LAW_CASES_2D)
+def test_converter_law_2d_is_eps_close_pointwise(eps, c, half, R):
+    # the exact oracle: sup |log nu / pi| is 4.7e-5 on the README's square
+    _, log_ratio = helpers.converter_law_2d(c, half, eps, R)
+    assert np.abs(log_ratio).max() <= eps
+
+
+@pytest.mark.parametrize("eps, c, half, R", _LAW_CASES_2D)
+def test_converter_law_2d_with_a_one_spot_oracle(eps, c, half, R):
+    # mu = (1 - t) pi + t delta_0 is TV-close to pi by t, the schedule's
+    # target exp(delta_log), and holds all its error in one spot
+    t = math.exp(compute_params(eps, float(np.linalg.norm(c)), min(half), R, 2).delta_log)
+    _, log_ratio = helpers.converter_law_2d(c, half, eps, R, spot=t)
+    assert np.abs(log_ratio).max() <= eps
+
+
+@pytest.mark.parametrize("eps, c, half, R", _LAW_CASES_2D)
+def test_converter_law_2d_without_the_stretch_breaks(eps, c, half, R):
+    # the smoothing disk hangs over two facets at a corner, which keeps
+    # about a quarter of pi's density there: |log nu / pi| reaches log 4
+    z, log_ratio = helpers.converter_law_2d(c, half, eps, R, stretch=False)
+    worst = np.argmax(np.abs(log_ratio))
+    assert np.array_equal(np.abs(z[worst]), half)
+    assert np.abs(log_ratio[worst]) > eps
+    assert abs(log_ratio[worst] + math.log(4.0)) <= 1e-4
+
+
 def test_batch_oracle_shape_violation(sq):
     params = compute_params(0.5, 0.0, 1.0, 2.0, 2)
 
